@@ -154,9 +154,7 @@ QueryId Scheduler::Submit(const QuerySpec& spec) {
     if (morsels == 1) {
       m.payload[0] = EncodeOps(pw.ops);
       m.payload[3] = pw.arg1;
-      if (!layer_->Send(spec.origin_socket, m)) {
-        spill_[static_cast<size_t>(pw.partition)].push_back(m);
-      }
+      if (!layer_->Send(spec.origin_socket, m)) Spill(m);
       continue;
     }
     // Morselized task: equal fluid shares, morsel coordinates in arg1.
@@ -168,9 +166,7 @@ QueryId Scheduler::Submit(const QuerySpec& spec) {
     for (int i = 0; i < morsels; ++i) {
       m.payload[0] = EncodeOps(ops_each);
       m.payload[3] = msg::EncodeMorsel(i, morsels);
-      if (!layer_->Send(spec.origin_socket, m)) {
-        spill_[static_cast<size_t>(pw.partition)].push_back(m);
-      }
+      if (!layer_->Send(spec.origin_socket, m)) Spill(m);
     }
     morsels_dispatched_ += morsels;
     outstanding_morsels_[static_cast<size_t>(pw.partition)] += morsels;
@@ -263,7 +259,7 @@ void Scheduler::ReleaseOwnership(Worker* w, bool requeue_batch) {
         w->owned != nullptr
             ? w->owned->Enqueue(m)
             : layer_->router(placement_->HomeOf(m.partition))->Enqueue(m);
-    if (!ok) spill_[static_cast<size_t>(m.partition)].push_back(m);
+    if (!ok) Spill(m);
   };
   if (requeue_batch) {
     // Deactivated mid-batch: push unprocessed work back so other workers
@@ -348,7 +344,13 @@ bool Scheduler::AcquireWork(Worker* w) {
   }
 }
 
+void Scheduler::Spill(const msg::Message& m) {
+  spill_[static_cast<size_t>(m.partition)].push_back(m);
+  ++spilled_;
+}
+
 size_t Scheduler::RetrySpill() {
+  if (spilled_ == 0) return 0;
   size_t moved = 0;
   for (int p = 0; p < db_->num_partitions(); ++p) {
     auto& dq = spill_[static_cast<size_t>(p)];
@@ -357,6 +359,7 @@ size_t Scheduler::RetrySpill() {
       // queue (which may have moved since the spill).
       if (!layer_->router(placement_->HomeOf(p))->Enqueue(dq.front())) break;
       dq.pop_front();
+      --spilled_;
       ++moved;
     }
   }
@@ -380,6 +383,7 @@ int64_t Scheduler::FailAllInflight(FailReason reason) {
   }
   (void)layer_->DrainAllQueues();
   for (auto& dq : spill_) dq.clear();
+  spilled_ = 0;
   std::fill(outstanding_morsels_.begin(), outstanding_morsels_.end(), 0);
 
   // Fail in submission order so the client sees a deterministic, ordered

@@ -146,6 +146,10 @@ class Scheduler {
   int64_t FailAllInflight(FailReason reason);
   int64_t queries_failed() const { return queries_failed_; }
 
+  /// Messages waiting in the spill buffers (rejected by a full partition
+  /// queue and not yet retried).
+  int64_t spilled() const { return spilled_; }
+
  private:
   struct QueryState {
     SimTime arrival = 0;
@@ -175,7 +179,10 @@ class Scheduler {
   /// Morsel count a partition task splits into (explicit request, or
   /// morsel_ops auto-split for large kWorkUnits tasks), capped at 64.
   int MorselsOf(const PartitionWork& pw) const;
-  /// Returns the number of spilled messages moved into partition queues.
+  /// Parks a message its partition queue rejected in the spill buffer.
+  void Spill(const msg::Message& m);
+  /// Returns the number of spilled messages moved into partition queues;
+  /// returns at once while nothing is spilled.
   size_t RetrySpill();
   /// Makes `w` point at its next task; returns false when out of work.
   bool AcquireWork(Worker* w);
@@ -205,6 +212,8 @@ class Scheduler {
   /// Backpressure spill buffers per partition (unbounded; models an
   /// admission queue in front of the bounded partition rings).
   std::vector<std::deque<msg::Message>> spill_;
+  /// Total messages across `spill_`.
+  int64_t spilled_ = 0;
   LatencyTracker latency_;
   QueryId next_query_id_ = 1;
   int64_t queries_submitted_ = 0;

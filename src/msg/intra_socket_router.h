@@ -1,6 +1,7 @@
 #ifndef ECLDB_MSG_INTRA_SOCKET_ROUTER_H_
 #define ECLDB_MSG_INTRA_SOCKET_ROUTER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -23,6 +24,15 @@ namespace ecldb::msg {
 /// migration deregisters the partition from the old home's router and
 /// registers the same queue object (with any queued messages) at the new
 /// home's router.
+///
+/// Registered queues report every enqueue and dequeue, so the router keeps
+/// a pending-message count and a bitmap of non-empty queues indexed by
+/// slot (position in the scan order). `PendingApprox` is O(1) and
+/// `AcquireNonEmpty` visits only set bits. Invariant: a bit may be set for
+/// an empty queue (or past the last slot), but never clear for a non-empty
+/// queue once the enqueue that filled it has returned. Register/Deregister
+/// must not race with traffic on this router's queues (migration runs in
+/// event context).
 class IntraSocketRouter {
  public:
   /// `num_global_partitions` sizes the dense partition-id lookup.
@@ -45,16 +55,20 @@ class IntraSocketRouter {
   /// Enqueues a message for a local partition; false when full.
   bool Enqueue(const Message& m);
 
-  /// Scans local partitions round-robin starting after `cursor` and
-  /// acquires the first non-empty unowned queue for `worker`. Returns
+  /// Scans the non-empty local partitions round-robin starting after
+  /// `cursor` and acquires the first unowned one for `worker`. Returns
   /// nullptr when no work is available. Updates `cursor`.
   PartitionQueue* AcquireNonEmpty(int worker, size_t* cursor);
 
   /// Direct access to a partition's queue (must be local).
   PartitionQueue* queue(PartitionId p);
 
-  /// Total messages pending across all local partitions (approximate).
-  size_t PendingApprox() const;
+  /// Total messages pending across all local partitions; exact while no
+  /// other thread is enqueueing or dequeueing.
+  size_t PendingApprox() const {
+    return static_cast<size_t>(
+        std::max<int64_t>(0, pending_.load(std::memory_order_relaxed)));
+  }
 
   /// Enqueue() calls rejected because the target queue was full
   /// (backpressure seen by any producer: sends, comm pumps, requeues).
@@ -63,12 +77,28 @@ class IntraSocketRouter {
   }
 
  private:
+  friend class PartitionQueue;
+
+  /// Occupancy reports from registered queues.
+  void NoteEnqueued(size_t slot);
+  void NoteDequeued(const PartitionQueue& queue, size_t count);
+  /// Sets or clears a slot's non-empty bit.
+  void SetSlot(size_t slot, bool nonempty);
+  /// AcquireNonEmpty over the set bits of slots [begin, end).
+  PartitionQueue* AcquireInRange(int worker, size_t begin, size_t end,
+                                 size_t* cursor);
+
   SocketId socket_;
   std::vector<PartitionId> partition_ids_;
   std::vector<PartitionQueue*> queues_;  // parallel to partition_ids_
   /// Dense lookup: global partition id -> local index (-1 if foreign).
   std::vector<int> local_index_;
   std::atomic<int64_t> enqueue_rejects_{0};
+  /// Messages queued in registered queues. Relaxed: a dequeue may be
+  /// counted before the racing enqueue, so it can dip below zero briefly.
+  std::atomic<int64_t> pending_{0};
+  /// Non-empty bit per slot, 64 slots per word.
+  std::vector<std::atomic<uint64_t>> nonempty_;
 };
 
 }  // namespace ecldb::msg

@@ -1,6 +1,7 @@
 #include "msg/partition_queue.h"
 
 #include "common/check.h"
+#include "msg/intra_socket_router.h"
 
 namespace ecldb::msg {
 
@@ -21,6 +22,7 @@ bool PartitionQueue::Enqueue(const Message& m) {
   ECLDB_DCHECK(m.partition == partition_);
   if (!ring_.TryPush(m)) return false;
   AddPendingOps(MessageOps(m));
+  if (router_ != nullptr) router_->NoteEnqueued(slot_);
   return true;
 }
 
@@ -49,6 +51,7 @@ size_t PartitionQueue::DequeueBatch(int owner, size_t max_batch,
     out->push_back(m);
     ++n;
   }
+  if (router_ != nullptr && n > 0) router_->NoteDequeued(*this, n);
   return n;
 }
 

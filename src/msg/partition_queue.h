@@ -11,6 +11,8 @@
 
 namespace ecldb::msg {
 
+class IntraSocketRouter;
+
 /// Message queue of one data partition, the core of the paper's elasticity
 /// extension (Section 3): instead of a static worker-partition binding,
 /// "messages for the same data partition are buffered and queued. Worker
@@ -20,7 +22,9 @@ namespace ecldb::msg {
 ///
 /// Any thread may enqueue; batch-dequeue requires holding the ownership
 /// token, which guarantees latch-free exclusive access to the partition's
-/// data structures while processing.
+/// data structures while processing. While registered with an
+/// IntraSocketRouter, every enqueue and dequeue is reported to that router's
+/// occupancy count and non-empty bitmap.
 class PartitionQueue {
  public:
   PartitionQueue(PartitionId partition, size_t capacity);
@@ -61,12 +65,18 @@ class PartitionQueue {
   }
 
  private:
+  friend class IntraSocketRouter;
+
   void AddPendingOps(double delta);
 
   PartitionId partition_;
   MpmcRing<Message> ring_;
   std::atomic<int> owner_{-1};
   std::atomic<double> pending_ops_{0.0};
+  /// Router this queue is registered with (nullptr while standalone) and
+  /// its slot in that router's scan order. Set by Register/Deregister.
+  IntraSocketRouter* router_ = nullptr;
+  size_t slot_ = 0;
 };
 
 }  // namespace ecldb::msg

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -283,6 +285,81 @@ TEST_F(ClusterEngineTest, DeterministicAcrossRuns) {
                            cluster.TotalEnergyJoules());
   };
   EXPECT_EQ(run(), run());
+}
+
+// Four-slot partition rings on a 2-node rack, so submissions, deactivation
+// requeues and crash recovery all run through the scheduler's spill
+// buffers while a node migration and a crash happen. The pinned outcome
+// was recorded before the spill bookkeeping was added; the simulation must
+// stay bit-identical to it.
+TEST_F(ClusterEngineTest, TinyQueuesSpillMigrateAndCrashPinnedOutcome) {
+  ClusterEngineParams params;
+  params.engine.message_layer.partition_queue_capacity = 4;
+  params.migration.min_shard_bytes = 16.0 * (1 << 20);
+  Build(hwsim::ClusterParams::Homogeneous(2, hwsim::ClusterNodeParams{}),
+        params);
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a over 64-bit words
+  auto mix = [&digest](int64_t v) {
+    digest ^= static_cast<uint64_t>(v);
+    digest *= 1099511628211ull;
+  };
+  for (NodeId n = 0; n < 2; ++n) {
+    engine_->node_engine(n).scheduler().SetCompletionCallback(
+        [&mix, n](int8_t, SimTime arrival, SimTime completion) {
+          mix(n);
+          mix(arrival);
+          mix(completion);
+        });
+  }
+  engine_->SetQueryFailureCallback(
+      [&mix](int8_t, int16_t, int8_t, SimTime arrival, FailReason reason) {
+        mix(static_cast<int64_t>(reason));
+        mix(arrival);
+      });
+  auto burst = [this](NodeId entry, PartitionId first, int count) {
+    for (int i = 0; i < count; ++i) {
+      QuerySpec spec = ComputeQuery(first + i % 4, 2e7);
+      if (i % 3 == 0) spec.work[0].morsels = 6;
+      engine_->Submit(entry, spec);
+    }
+  };
+  burst(0, 0, 40);
+  burst(1, 4, 40);
+  burst(0, 4, 10);
+  sim_.ScheduleAfter(Millis(1),
+                     [&] { EXPECT_TRUE(engine_->StartMigration(0, 1)); });
+  sim_.ScheduleAfter(Millis(3), [&] {
+    // Most of node 0's first socket sleeps mid-batch: its workers requeue
+    // into rings that spill retries keep full, so the requeues spill too.
+    hwsim::Machine& m = cluster_->machine(0);
+    m.ApplySocketConfig(
+        0, hwsim::SocketConfig::FirstThreads(m.topology(), 2, 2.6, 3.0));
+  });
+  sim_.ScheduleAfter(Millis(1000), [&] {
+    burst(1, 4, 30);
+    EXPECT_GT(engine_->node_engine(1).scheduler().spilled(), 0);
+    cluster_->Crash(1);
+    engine_->OnNodeCrash(1);
+    EXPECT_EQ(engine_->node_engine(1).scheduler().spilled(), 0);
+  });
+  sim_.RunFor(Seconds(5));
+
+  EXPECT_EQ(engine_->migrations_completed(), 1);
+  // Partitions 4-7 and the migrated partition 0 lived on node 1.
+  EXPECT_EQ(engine_->crash_recoveries(), 5);
+  for (NodeId n = 0; n < 2; ++n) {
+    const Engine& eng = engine_->node_engine(n);
+    EXPECT_GT(eng.socket_msg_stats(0).send_rejects +
+                  eng.socket_msg_stats(1).send_rejects,
+              0);
+    EXPECT_EQ(eng.scheduler().inflight(), 0);
+    EXPECT_EQ(eng.scheduler().spilled(), 0);
+  }
+  EXPECT_EQ(engine_->CompletedQueries(), 90);
+  EXPECT_EQ(engine_->QueriesFailed(), 30);
+  EXPECT_EQ(std::bit_cast<uint64_t>(cluster_->TotalEnergyJoules()),
+            0x40907a0715da1b8dull);
+  EXPECT_EQ(digest, 0xc18439bc17fb02a3ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "msg/inter_socket_comm.h"
 #include "msg/intra_socket_router.h"
 #include "msg/message.h"
@@ -43,8 +44,9 @@ struct TestPlacement : PlacementView {
 struct RouterHarness {
   std::vector<std::unique_ptr<PartitionQueue>> queues;
   IntraSocketRouter router;
-  RouterHarness(SocketId socket, std::vector<PartitionId> parts, size_t cap)
-      : router(socket, /*num_global_partitions=*/64) {
+  RouterHarness(SocketId socket, std::vector<PartitionId> parts, size_t cap,
+                size_t num_global_partitions = 64)
+      : router(socket, num_global_partitions) {
     for (PartitionId p : parts) {
       queues.push_back(std::make_unique<PartitionQueue>(p, cap));
       router.Register(p, queues.back().get());
@@ -243,6 +245,80 @@ TEST(IntraSocketRouterTest, RoundRobinFromCursor) {
   q->Release(1);
 }
 
+/// Linear-scan reference for AcquireNonEmpty: the first non-empty unowned
+/// queue in round-robin order after `cursor`, as a slot index (-1: none).
+int ReferenceAcquireSlot(IntraSocketRouter& router, size_t cursor) {
+  const size_t n = router.num_partitions();
+  for (size_t step = 0; step < n; ++step) {
+    const size_t i = (cursor + 1 + step) % n;
+    const PartitionQueue* q = router.queue(router.partitions()[i]);
+    if (!q->EmptyApprox() && q->owner() == -1) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+size_t SumOfQueueSizes(IntraSocketRouter& router) {
+  size_t sum = 0;
+  for (PartitionId p : router.partitions()) {
+    sum += router.queue(p)->SizeApprox();
+  }
+  return sum;
+}
+
+TEST(IntraSocketRouterTest, ConcurrentEnqueueKeepsOccupancyExact) {
+  // Producers enqueue while one owner acquires and drains; 100 queues span
+  // two bitmap words.
+  std::vector<PartitionId> parts;
+  for (PartitionId p = 0; p < 100; ++p) parts.push_back(p);
+  RouterHarness h(0, parts, 16, /*num_global_partitions=*/100);
+  IntraSocketRouter& router = h.router;
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 20000;
+  std::atomic<bool> producing{true};
+  std::atomic<int64_t> drained{0};
+  std::thread owner([&] {
+    size_t cursor = 0;
+    std::vector<Message> batch;
+    while (producing.load(std::memory_order_acquire)) {
+      PartitionQueue* q = router.AcquireNonEmpty(0, &cursor);
+      if (q == nullptr) continue;
+      batch.clear();
+      drained.fetch_add(static_cast<int64_t>(q->DequeueBatch(0, 8, &batch)));
+      q->Release(0);
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&router, t] {
+      Rng rng(1000 + static_cast<uint64_t>(t));
+      for (int i = 0; i < kPerProducer; ++i) {
+        const Message m =
+            MakeMsg(static_cast<PartitionId>(rng.NextBounded(100)), i);
+        while (!router.Enqueue(m)) std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  producing.store(false, std::memory_order_release);
+  owner.join();
+
+  const size_t queued = SumOfQueueSizes(router);
+  EXPECT_EQ(queued + static_cast<size_t>(drained.load()),
+            static_cast<size_t>(kProducers * kPerProducer));
+  EXPECT_EQ(router.PendingApprox(), queued);
+  // No non-empty queue has a clear bit: scanning from the slot before it
+  // finds it first.
+  const size_t n = router.num_partitions();
+  for (size_t i = 0; i < n; ++i) {
+    PartitionQueue* q = router.queue(router.partitions()[i]);
+    if (q->EmptyApprox()) continue;
+    size_t cursor = (i + n - 1) % n;
+    EXPECT_EQ(router.AcquireNonEmpty(1, &cursor), q) << "slot " << i;
+    EXPECT_EQ(cursor, i);
+    q->Release(1);
+  }
+}
+
 TEST(CommEndpointTest, PumpsToRemoteRouter) {
   RouterHarness h0(0, {0}, 64);
   RouterHarness h1(1, {1}, 64);
@@ -369,6 +445,98 @@ TEST(MessageLayerTest, DoublyStaleArrivalForwardsTwice) {
   EXPECT_EQ(layer.PumpComm(1), 1u);
   EXPECT_EQ(layer.router(2)->queue(0)->SizeApprox(), 1u);
   EXPECT_EQ(layer.PendingApprox(), 1u);
+}
+
+TEST(MessageLayerTest, RouterOccupancyMatchesLinearScanUnderRandomOps) {
+  // Seeded random traffic through a 2-socket layer with 4-slot queues: 140
+  // partitions, so a router's bitmap spans several words and rehomes shift
+  // slots across word boundaries. After every step each router's pending
+  // count equals the sum of its queue sizes, and AcquireNonEmpty picks the
+  // same queue and cursor as a linear scan.
+  constexpr int kPartitions = 140;
+  std::vector<SocketId> home;
+  for (int p = 0; p < kPartitions; ++p) home.push_back(p < 100 ? 0 : 1);
+  TestPlacement placement(home);
+  MessageLayerParams params;
+  params.partition_queue_capacity = 4;
+  MessageLayer layer(2, &placement, params);
+  Rng rng(20240917);
+  std::vector<PartitionQueue*> held;  // acquired by worker tag 1
+  size_t cursors[2][3] = {};
+  std::vector<Message> batch;
+  int acquires = 0;
+  int rehomes = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const auto p = static_cast<PartitionId>(rng.NextBounded(kPartitions));
+    const auto s = static_cast<SocketId>(rng.NextBounded(2));
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 35) {
+      (void)layer.Send(s, MakeMsg(p, step));
+    } else if (op < 45) {
+      (void)layer.partition_queue(p)->Enqueue(MakeMsg(p, step));
+    } else if (op < 55) {
+      (void)layer.PumpComm(s);
+    } else if (op < 70) {
+      PartitionQueue* q = layer.partition_queue(p);
+      if (q->TryAcquire(2)) {
+        batch.clear();
+        (void)q->DequeueBatch(2, 1 + rng.NextBounded(3), &batch);
+        q->Release(2);
+      }
+    } else if (op < 85) {
+      const size_t worker = rng.NextBounded(3);
+      IntraSocketRouter& router = *layer.router(s);
+      size_t* cursor = &cursors[s][worker];
+      const int want = ReferenceAcquireSlot(router, *cursor);
+      const size_t cursor_before = *cursor;
+      PartitionQueue* got = router.AcquireNonEmpty(1, cursor);
+      if (want < 0) {
+        ASSERT_EQ(got, nullptr) << "step " << step;
+        ASSERT_EQ(*cursor, cursor_before);
+      } else {
+        const PartitionId want_p =
+            router.partitions()[static_cast<size_t>(want)];
+        ASSERT_EQ(got, router.queue(want_p)) << "step " << step;
+        ASSERT_EQ(*cursor, static_cast<size_t>(want));
+        ++acquires;
+        batch.clear();
+        if (rng.NextBounded(2) == 0) (void)got->DequeueBatch(1, 2, &batch);
+        held.push_back(got);
+      }
+    } else if (op < 93) {
+      if (!held.empty()) {
+        const size_t i = rng.NextBounded(held.size());
+        held[i]->Release(1);
+        held.erase(held.begin() + static_cast<long>(i));
+      }
+    } else if (op < 99) {
+      const SocketId from = placement.HomeOf(p);
+      if (layer.partition_queue(p)->owner() == -1) {
+        layer.Rehome(p, from, 1 - from);
+        placement.home[static_cast<size_t>(p)] = 1 - from;
+        ++placement.epoch_value;
+        ++rehomes;
+      }
+    } else {
+      for (PartitionQueue* q : held) q->Release(1);
+      held.clear();
+      layer.DrainAllQueues();
+      ASSERT_EQ(layer.PendingApprox(), 0u);
+    }
+    size_t comm_pending = 0;
+    for (SocketId r = 0; r < 2; ++r) {
+      ASSERT_EQ(layer.router(r)->PendingApprox(),
+                SumOfQueueSizes(*layer.router(r)))
+          << "step " << step << " socket " << r;
+      comm_pending += layer.comm(r)->OutboundPendingApprox();
+    }
+    ASSERT_EQ(layer.PendingApprox(), layer.router(0)->PendingApprox() +
+                                         layer.router(1)->PendingApprox() +
+                                         comm_pending);
+  }
+  EXPECT_GT(acquires, 1000);
+  EXPECT_GT(rehomes, 500);
+  for (PartitionQueue* q : held) q->Release(1);
 }
 
 TEST(MessageTest, TypeNames) {
