@@ -1,11 +1,8 @@
 #include "ecl/cluster_ecl.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 
@@ -16,34 +13,55 @@ ClusterEcl::ClusterEcl(sim::Simulator* simulator,
                        PressureFn pressure, const ClusterEclParams& params)
     : simulator_(simulator),
       engine_(engine),
-      load_(std::move(load)),
       pressure_(std::move(pressure)),
-      params_(params) {
-  ECLDB_CHECK(simulator != nullptr && engine != nullptr);
-  ECLDB_CHECK(load_ != nullptr && pressure_ != nullptr);
-  ECLDB_CHECK(params_.min_nodes_on >= 1);
+      params_(params),
+      policy_(simulator, NodeScope(std::move(load))) {
+  ECLDB_CHECK(pressure_ != nullptr);
   if (telemetry::Telemetry* tel = params_.telemetry; tel != nullptr) {
     telemetry::MetricRegistry& reg = tel->registry();
-    reg.AddCounterFn("cluster/ecl/ticks", [this] { return ticks_; });
-    reg.AddCounterFn("cluster/ecl/consolidation_moves",
-                     [this] { return consolidation_moves_; });
-    reg.AddCounterFn("cluster/ecl/spread_moves",
-                     [this] { return spread_moves_; });
     reg.AddCounterFn("cluster/ecl/power_downs",
                      [this] { return power_downs_; });
     reg.AddCounterFn("cluster/ecl/wakes", [this] { return wakes_; });
-    trace_lane_ = tel->trace().RegisterLane("cluster/ecl");
   }
+}
+
+ConsolidationScope ClusterEcl::NodeScope(LoadFn load) {
+  ECLDB_CHECK(engine_ != nullptr);
+  ConsolidationScope scope;
+  scope.placement = &engine_->placement();
+  scope.serves = [this](NodeId n) { return engine_->cluster().IsOn(n); };
+  scope.load = std::move(load);
+  scope.pressure = [this] { return ClusterPressure(); };
+  scope.start_migration = [this](PartitionId p, NodeId to) {
+    return engine_->StartMigration(p, to);
+  };
+  scope.interval = params_.interval;
+  scope.migrations_per_tick = params_.migrations_per_tick;
+  scope.spread_migrations_per_tick = params_.spread_migrations_per_tick;
+  scope.post_migration_hold = params_.post_migration_hold;
+  // No hard-pressure override: hard pressure is the wake path's, which
+  // runs first.
+  scope.spread_trigger = [](double pressure, bool gated) {
+    return !gated && pressure >= kWakePressureMin;
+  };
+  scope.before = [this](double pressure) { return TryWake(pressure); };
+  // A drained node powers down whenever pressure sits below the spread
+  // threshold — spread is the only thing that would repopulate it, so
+  // gating on the tighter consolidation threshold would strand empty
+  // nodes at full platform power once the receiver's pressure rises past
+  // it.
+  scope.after = [this](double pressure) {
+    if (pressure < kWakePressureMin) MaybePowerDown();
+  };
+  scope.telemetry = params_.telemetry;
+  scope.name = "cluster/ecl";
+  scope.category = "cluster";
+  return scope;
 }
 
 void ClusterEcl::SetNodeHooks(NodeHook on_power_down, NodeHook on_booted) {
   on_power_down_ = std::move(on_power_down);
   on_booted_ = std::move(on_booted);
-}
-
-void ClusterEcl::Start() {
-  running_ = true;
-  simulator_->ScheduleAfter(params_.interval, [this] { Tick(); });
 }
 
 double ClusterEcl::ClusterPressure() const {
@@ -53,69 +71,6 @@ double ClusterEcl::ClusterPressure() const {
     if (cluster.IsOn(n)) p = std::max(p, pressure_(n));
   }
   return p;
-}
-
-void ClusterEcl::Tick() {
-  if (!running_) return;
-  ++ticks_;
-  const int64_t done = engine_->migrations_completed();
-  if (done != last_completed_seen_) {
-    last_completed_seen_ = done;
-    last_migration_time_ = simulator_->now();
-  }
-  const double pressure = ClusterPressure();
-
-  // Set ECLDB_CLUSTER_DEBUG=1 to trace every policy tick (same idiom as
-  // ECLDB_DRIFT_DEBUG in the drift experiment).
-  static const bool debug = std::getenv("ECLDB_CLUSTER_DEBUG") != nullptr;
-  if (debug) {
-    hwsim::Cluster& cluster = engine_->cluster();
-    std::fprintf(stderr, "[cluster-ecl] t=%.1fs pressure=%.3f active=%d",
-                 ToSeconds(simulator_->now()), pressure,
-                 engine_->active_migrations());
-    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-      std::fprintf(stderr, " n%d:%s/p%d/l%.2f", n,
-                   cluster.IsOn(n)
-                       ? "on"
-                       : (cluster.state(n) == hwsim::Cluster::NodeState::kOff
-                              ? "off"
-                              : "boot"),
-                   engine_->placement().PartitionsOn(n), load_(n));
-    }
-    std::fprintf(stderr, " moves=c%lld/s%lld downs=%lld wakes=%lld\n",
-                 static_cast<long long>(consolidation_moves_),
-                 static_cast<long long>(spread_moves_),
-                 static_cast<long long>(power_downs_),
-                 static_cast<long long>(wakes_));
-  }
-
-  // Wakes run before anything else, every tick: capacity arrives a boot
-  // latency late, so deferring a needed wake behind migration settling
-  // would double the reaction time.
-  const bool woke = TryWake(pressure);
-
-  if (!woke && engine_->active_migrations() == 0) {
-    const bool holding =
-        last_migration_time_ >= 0 &&
-        simulator_->now() - last_migration_time_ < params_.post_migration_hold;
-    const bool spread_gated =
-        holding && last_direction_ == Direction::kConsolidate;
-    const bool consolidate_gated =
-        holding && last_direction_ == Direction::kSpread;
-    if (!spread_gated && pressure >= params_.wake_pressure_min) {
-      Spread();
-    } else if (!consolidate_gated &&
-               pressure <= params_.consolidate_pressure_max) {
-      Consolidate();
-    }
-    // A drained node powers down whenever pressure sits below the spread
-    // threshold — spread is the only thing that would repopulate it, so
-    // gating on the tighter consolidation threshold would strand empty
-    // nodes at full platform power once the receiver's pressure rises
-    // past it.
-    if (pressure < params_.wake_pressure_min) MaybePowerDown();
-  }
-  simulator_->ScheduleAfter(params_.interval, [this] { Tick(); });
 }
 
 bool ClusterEcl::TryWake(double pressure) {
@@ -129,8 +84,8 @@ bool ClusterEcl::TryWake(double pressure) {
   for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
     if (!cluster.IsOn(n)) backlog += engine_->BacklogOps(n);
   }
-  const bool hard = pressure >= params_.wake_pressure_hard;
-  const bool wanted = hard || pressure >= params_.wake_pressure_min ||
+  const bool hard = pressure >= kWakePressureHard;
+  const bool wanted = hard || pressure >= kWakePressureMin ||
                       backlog >= params_.wake_backlog_ops;
   if (!wanted) return false;
   // A boot already in flight is the wake in progress; only hard pressure
@@ -150,7 +105,7 @@ bool ClusterEcl::TryWake(double pressure) {
     ++wakes_;
     if (params_.telemetry != nullptr) {
       params_.telemetry->trace().Instant(
-          trace_lane_, "cluster", "wake", simulator_->now(),
+          policy_.trace_lane(), "cluster", "wake", simulator_->now(),
           "\"node\":" + std::to_string(n) +
               ",\"pressure\":" + telemetry::JsonNumber(pressure) +
               ",\"backlog\":" + telemetry::JsonNumber(backlog));
@@ -163,115 +118,14 @@ bool ClusterEcl::TryWake(double pressure) {
   return false;
 }
 
-void ClusterEcl::Consolidate() {
-  hwsim::Cluster& cluster = engine_->cluster();
-  engine::PlacementMap& placement = engine_->placement();
-
-  // Donor: least-loaded ON node still homing partitions; receiver: the
-  // most-loaded other ON node. Ties resolve to the lower node id.
-  NodeId donor = -1, receiver = -1;
-  double donor_load = 0.0, receiver_load = 0.0;
-  int populated_on = 0;
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    if (!cluster.IsOn(n) || placement.PartitionsOn(n) == 0) continue;
-    ++populated_on;
-    const double l = load_(n);
-    if (donor == -1 || l < donor_load) {
-      donor = n;
-      donor_load = l;
-    }
-  }
-  if (populated_on < 2) return;
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    if (n == donor || !cluster.IsOn(n) || placement.PartitionsOn(n) == 0) {
-      continue;
-    }
-    const double l = load_(n);
-    if (receiver == -1 || l > receiver_load) {
-      receiver = n;
-      receiver_load = l;
-    }
-  }
-  if (donor_load > params_.donor_load_max) return;
-  if (receiver_load + donor_load > params_.target_load_ceiling) return;
-
-  const std::vector<PartitionId> parts = placement.PartitionsOf(donor);
-  const int moves = std::min<int>(params_.migrations_per_tick,
-                                  static_cast<int>(parts.size()));
-  int started = 0;
-  for (int i = 0; i < moves; ++i) {
-    if (engine_->StartMigration(parts[static_cast<size_t>(i)], receiver)) {
-      ++consolidation_moves_;
-      last_direction_ = Direction::kConsolidate;
-      ++started;
-    }
-  }
-  if (started > 0 && params_.telemetry != nullptr) {
-    params_.telemetry->trace().Instant(
-        trace_lane_, "cluster", "consolidate_batch", simulator_->now(),
-        "\"donor\":" + std::to_string(donor) +
-            ",\"receiver\":" + std::to_string(receiver) +
-            ",\"migrations\":" + std::to_string(started));
-  }
-}
-
-void ClusterEcl::Spread() {
-  hwsim::Cluster& cluster = engine_->cluster();
-  engine::PlacementMap& placement = engine_->placement();
-
-  // Push partitions from the fullest ON node onto the emptiest ON node
-  // (typically one just woken, holding nothing), preferring partitions
-  // whose initial home was the destination.
-  NodeId src = -1, dst = -1;
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    if (!cluster.IsOn(n)) continue;
-    if (src == -1 || placement.PartitionsOn(n) > placement.PartitionsOn(src)) {
-      src = n;
-    }
-    if (dst == -1 || placement.PartitionsOn(n) < placement.PartitionsOn(dst)) {
-      dst = n;
-    }
-  }
-  if (src == -1 || dst == -1 || src == dst ||
-      placement.PartitionsOn(src) - placement.PartitionsOn(dst) < 2) {
-    return;
-  }
-
-  std::vector<PartitionId> candidates = placement.PartitionsOf(src);
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](PartitionId a, PartitionId b) {
-                     return (placement.InitialHomeOf(a) == dst) >
-                            (placement.InitialHomeOf(b) == dst);
-                   });
-  const int gap = placement.PartitionsOn(src) - placement.PartitionsOn(dst);
-  const int moves =
-      std::min<int>({params_.spread_migrations_per_tick, gap / 2,
-                     static_cast<int>(candidates.size())});
-  int started = 0;
-  for (int i = 0; i < moves; ++i) {
-    if (engine_->StartMigration(candidates[static_cast<size_t>(i)], dst)) {
-      ++spread_moves_;
-      last_direction_ = Direction::kSpread;
-      ++started;
-    }
-  }
-  if (started > 0 && params_.telemetry != nullptr) {
-    params_.telemetry->trace().Instant(
-        trace_lane_, "cluster", "spread_batch", simulator_->now(),
-        "\"src\":" + std::to_string(src) + ",\"dst\":" + std::to_string(dst) +
-            ",\"migrations\":" + std::to_string(started));
-  }
-}
-
 void ClusterEcl::MaybePowerDown() {
   hwsim::Cluster& cluster = engine_->cluster();
   engine::PlacementMap& placement = engine_->placement();
-  if (cluster.NodesOn() <= params_.min_nodes_on) return;
+  if (cluster.NodesOn() <= kMinNodesOn) return;
   // Crash recovery in progress: survivors are absorbing re-homed
   // partitions and retries; do not shrink capacity into that transient.
   if (cluster.last_crash_time() >= 0 &&
-      simulator_->now() - cluster.last_crash_time() <
-          params_.crash_recovery_hold) {
+      simulator_->now() - cluster.last_crash_time() < kCrashRecoveryHold) {
     return;
   }
   for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
@@ -294,9 +148,9 @@ void ClusterEcl::MaybePowerDown() {
     cluster.PowerDown(n);
     ++power_downs_;
     if (params_.telemetry != nullptr) {
-      params_.telemetry->trace().Instant(trace_lane_, "cluster", "power_down",
-                                         simulator_->now(),
-                                         "\"node\":" + std::to_string(n));
+      params_.telemetry->trace().Instant(
+          policy_.trace_lane(), "cluster", "power_down", simulator_->now(),
+          "\"node\":" + std::to_string(n));
     }
     return;  // at most one power-down per tick
   }

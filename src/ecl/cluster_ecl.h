@@ -5,39 +5,42 @@
 #include <functional>
 
 #include "common/types.h"
+#include "ecl/consolidation.h"
 #include "engine/cluster_engine.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
 namespace ecldb::ecl {
 
+/// Wake an off node at this pressure; the node scope also spreads from
+/// here on. Deliberately BELOW the socket-scope spread threshold (0.5):
+/// new capacity arrives a whole boot latency after the decision, so the
+/// wake must lead the pressure ramp instead of reacting to it — the
+/// boot-latency-aware half of the hysteresis.
+inline constexpr double kWakePressureMin = 0.35;
+/// At or above this pressure a wake fires even while another node boots.
+inline constexpr double kWakePressureHard = 0.9;
+/// Never power below this many nodes.
+inline constexpr int kMinNodesOn = 1;
+/// After a node crash (hwsim::Cluster::Crash), hold all policy power-downs
+/// this long: the survivors are absorbing the re-homed partitions and the
+/// retrying crowd, and shrinking capacity into that transient turns a
+/// fault into an overload. Failed nodes themselves are never wake
+/// candidates until the fault schedule clears them.
+inline constexpr SimDuration kCrashRecoveryHold = Seconds(30);
+
 struct ClusterEclParams {
   /// Master switch; default off so single-node runs are byte-identical.
   bool enabled = false;
-  /// Policy tick interval. Slower than the in-box consolidation cadence:
-  /// node transitions cost tens of seconds, so the policy reacts at a
-  /// matching timescale.
+  /// Policy tick interval. Slower than the socket-scope cadence: node
+  /// transitions cost tens of seconds, so the policy reacts at a matching
+  /// timescale.
   SimDuration interval = Seconds(2);
-  /// Consolidate across nodes only while every ON node's latency
-  /// pressure is at or below this.
-  double consolidate_pressure_max = 0.15;
-  /// Only nodes at or below this relative load donate their partitions.
-  double donor_load_max = 0.45;
-  /// Projected receiver load (its own plus the donor's) must stay below
-  /// this to consolidate.
-  double target_load_ceiling = 0.6;
-  /// Node-scope migrations started per tick (staged, like in-box
-  /// consolidation, so receiving ECLs re-size between batches).
+  /// Node-scope migrations started per tick (staged, like the socket
+  /// scope, so receiving ECLs re-size between batches).
   int migrations_per_tick = 4;
   /// Spread migrations per tick once a woken node is serving-capable.
   int spread_migrations_per_tick = 8;
-  /// Wake an off node at this pressure. Deliberately BELOW the in-box
-  /// spread threshold (0.5): new capacity arrives a whole boot latency
-  /// after the decision, so the wake must lead the pressure ramp instead
-  /// of reacting to it — the boot-latency-aware half of the hysteresis.
-  double wake_pressure_min = 0.35;
-  /// At or above this pressure a wake fires regardless of dwell state.
-  double wake_pressure_hard = 0.9;
   /// Fluid backlog on any node that also triggers a wake (covers work
   /// shipped to a node that powered down before the pressure signal
   /// reflects it).
@@ -48,28 +51,20 @@ struct ClusterEclParams {
   /// more than they save (see CalibrateNodeTransition::break_even_off_s).
   SimDuration min_on_time = Seconds(60);
   /// After any node-scope migration completes, hold placement reversals
-  /// this long (same dwell rationale as the in-box policy, scaled up).
+  /// this long (the socket scope's dwell, scaled up).
   SimDuration post_migration_hold = Seconds(30);
-  /// Never power below this many nodes.
-  int min_nodes_on = 1;
-  /// After a node crash (hwsim::Cluster::Crash), hold all policy
-  /// power-downs this long: the survivors are absorbing the re-homed
-  /// partitions and the retrying crowd, and shrinking capacity into that
-  /// transient turns a fault into an overload. Failed nodes themselves
-  /// are never wake candidates until the fault schedule clears them.
-  SimDuration crash_recovery_hold = Seconds(30);
   /// Optional telemetry: tick/move counters plus instants for each
-  /// power-down/wake decision on a "cluster/ecl" lane.
+  /// batch and power-down/wake decision on a "cluster/ecl" lane.
   telemetry::Telemetry* telemetry = nullptr;
 };
 
-/// The cluster tier of the ECL hierarchy: does across boxes what
-/// ConsolidationPolicy does within one. At low pressure it live-migrates
-/// partitions off the least-loaded node; once that node is drained (no
-/// partitions, no backlog, no migration touching it) it powers the node
-/// down, eliminating the platform overhead that package sleep cannot
-/// reach. Rising pressure or backlog wakes an off node — early, because
-/// capacity arrives a boot latency late — and spreads partitions back
+/// The cluster tier of the ECL hierarchy: the ConsolidationPolicy at node
+/// scope (only ON nodes serve; migrations cross the network through the
+/// ClusterEngine), plus what only nodes have. Once a node is drained (no
+/// partitions, no backlog, no migration touching it) it powers down,
+/// eliminating the platform overhead that package sleep cannot reach.
+/// Rising pressure or backlog wakes an off node — early, because capacity
+/// arrives a boot latency late — and the policy spreads partitions back
 /// onto it once it is serving-capable.
 ///
 /// The policy only reads node-scope signals (per-node pressure/load fed
@@ -96,43 +91,34 @@ class ClusterEcl {
   /// down, `on_booted` when a woken node reaches kOn.
   void SetNodeHooks(NodeHook on_power_down, NodeHook on_booted);
 
-  void Start();
-  void Stop() { running_ = false; }
+  void Start() { policy_.Start(); }
+  void Stop() { policy_.Stop(); }
 
-  int64_t ticks() const { return ticks_; }
-  int64_t consolidation_moves() const { return consolidation_moves_; }
-  int64_t spread_moves() const { return spread_moves_; }
+  int64_t ticks() const { return policy_.ticks(); }
+  int64_t consolidation_moves() const { return policy_.consolidation_moves(); }
+  int64_t spread_moves() const { return policy_.spread_moves(); }
   int64_t power_downs() const { return power_downs_; }
   int64_t wakes() const { return wakes_; }
 
  private:
-  void Tick();
+  ConsolidationScope NodeScope(LoadFn load);
   /// Max pressure over ON nodes (off/booting nodes serve nothing).
   double ClusterPressure() const;
+  /// Wakes run before the placement decision, every tick: capacity
+  /// arrives a boot latency late, so deferring a needed wake behind
+  /// migration settling would double the reaction time.
   bool TryWake(double pressure);
-  void Consolidate();
-  void Spread();
   void MaybePowerDown();
 
   sim::Simulator* simulator_;
   engine::ClusterEngine* engine_;
-  LoadFn load_;
   PressureFn pressure_;
   ClusterEclParams params_;
   NodeHook on_power_down_;
   NodeHook on_booted_;
-
-  bool running_ = false;
-  int64_t ticks_ = 0;
-  int64_t consolidation_moves_ = 0;
-  int64_t spread_moves_ = 0;
   int64_t power_downs_ = 0;
   int64_t wakes_ = 0;
-  int trace_lane_ = 0;  // "cluster/ecl" lane when telemetry is attached
-  enum class Direction { kNone, kConsolidate, kSpread };
-  int64_t last_completed_seen_ = 0;
-  SimTime last_migration_time_ = -1;
-  Direction last_direction_ = Direction::kNone;
+  ConsolidationPolicy policy_;
 };
 
 }  // namespace ecldb::ecl

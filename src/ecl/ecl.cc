@@ -15,7 +15,6 @@ EnergyControlLoop::EnergyControlLoop(sim::Simulator* simulator,
                                         params_.system);
   if (params_.telemetry != nullptr) {
     params_.socket.telemetry = params_.telemetry;
-    params_.consolidation.telemetry = params_.telemetry;
     params_.telemetry->registry().AddGauge(
         "ecl/pressure", [this] { return system_->pressure(); });
   }
@@ -39,17 +38,23 @@ EnergyControlLoop::EnergyControlLoop(sim::Simulator* simulator,
   }
   if (params_.consolidation.enabled) {
     consolidation_ = std::make_unique<ConsolidationPolicy>(
-        simulator_, engine_, system_.get(),
-        // Relative load: the processed performance level over the
-        // profile's peak score (same currency the experiment samplers
-        // report as perf_level_frac).
-        [this](SocketId s) {
-          const SocketEcl& se = *sockets_[static_cast<size_t>(s)];
-          const double peak = se.profile().PeakPerfScore();
-          return peak > 0.0 ? se.performance_level() / peak : 0.0;
-        },
-        params_.consolidation);
+        simulator_,
+        SocketScope(
+            engine_, [this](SocketId s) { return socket(s).RelativeLoad(); },
+            [this] { return system_->pressure(); }, params_.telemetry));
   }
+}
+
+double EnergyControlLoop::RelativeLoad() const {
+  double load = 0.0;
+  for (const auto& socket : sockets_) load += socket->RelativeLoad();
+  return load / num_sockets();
+}
+
+double EnergyControlLoop::MeanUtilization() const {
+  double util = 0.0;
+  for (const auto& socket : sockets_) util += socket->last_utilization();
+  return util / num_sockets();
 }
 
 void EnergyControlLoop::Start() {

@@ -29,9 +29,9 @@ struct EclParams {
   /// across nodes itself, but still wants each node's sockets to wake on
   /// local backlog.
   bool placement_hooks = false;
-  /// Optional telemetry context, propagated into the socket ECLs and the
-  /// consolidation policy (overrides their individual params fields when
-  /// set); also registers the system-level latency-pressure gauge.
+  /// Optional telemetry context, propagated into the socket ECLs (overrides
+  /// their params field when set) and the consolidation policy; also
+  /// registers the system-level latency-pressure gauge.
   telemetry::Telemetry* telemetry = nullptr;
 };
 
@@ -51,6 +51,10 @@ class EnergyControlLoop {
   SystemEcl& system() { return *system_; }
   SocketEcl& socket(SocketId s) { return *sockets_[static_cast<size_t>(s)]; }
   int num_sockets() const { return static_cast<int>(sockets_.size()); }
+  /// Mean of the sockets' RelativeLoad(): the node's relative load.
+  double RelativeLoad() const;
+  /// Mean of the sockets' last_utilization().
+  double MeanUtilization() const;
   /// Non-null iff consolidation was enabled in the params.
   ConsolidationPolicy* consolidation() { return consolidation_.get(); }
 

@@ -80,7 +80,14 @@ class SocketEcl {
   /// Work-profile feature snapshot of the last loaded interval.
   const profile::FeatureVector& last_features() const { return last_features_; }
 
-  double performance_level() const { return perf_level_; }
+  /// Relative load in [0, 1]: the processed performance level over the
+  /// profile's peak score (0 while the profile has no peak). The
+  /// consolidation policy reads it, and the samplers report it as
+  /// perf_level_frac.
+  double RelativeLoad() const {
+    const double peak = profile_.PeakPerfScore();
+    return peak > 0.0 ? perf_level_ / peak : 0.0;
+  }
   int current_config_index() const { return current_index_; }
   const RtiController::Plan& last_plan() const { return last_plan_; }
   double last_utilization() const { return last_utilization_; }

@@ -44,11 +44,11 @@ ClusterEngine::ClusterEngine(sim::Simulator* simulator,
     reg.AddCounterFn("cluster/migrations_started",
                      [this] { return migrations_started_; });
     reg.AddCounterFn("cluster/migrations_completed",
-                     [this] { return migrations_completed_; });
+                     [this] { return migrations_completed(); });
     reg.AddCounterFn("cluster/migrations_cancelled",
-                     [this] { return migrations_cancelled_; });
+                     [this] { return migrations_cancelled(); });
     reg.AddGauge("cluster/migrations_active", [this] {
-      return static_cast<double>(active_migrations_);
+      return static_cast<double>(active_migrations());
     });
     reg.AddGauge("cluster/migration_bytes_moved",
                  [this] { return bytes_moved_; });
@@ -128,23 +128,16 @@ bool ClusterEngine::StartMigration(PartitionId p, NodeId to) {
   const NodeId from = placement_->HomeOf(p);
   if (!cluster_->IsOn(from) || !cluster_->IsOn(to)) return false;
   placement_->BeginMigration(p, to);
-  ++active_migrations_;
   ++migrations_started_;
 
   // Drain + local copy: the shard-copy query rides the source partition's
   // FIFO queue, so everything already enqueued executes first and the
   // fluid copy work charges the source node's memory system.
   Engine& src = node_engine(from);
-  const double actual =
-      static_cast<double>(src.db().partition(p)->MemoryBytes());
-  const double bytes = std::max(actual, params_.migration.min_shard_bytes);
-  const double ops = std::max(1.0, bytes / params_.migration.bytes_per_op);
-  QuerySpec copy;
-  copy.profile = &ShardCopyProfile();
-  copy.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
-  copy.origin_socket = src.placement().HomeOf(p);
-  copy.internal = true;
-  const QueryId copy_query = src.Submit(copy);
+  const ShardCopy copy = MakeShardCopy(src.db(), p, src.placement().HomeOf(p),
+                                       params_.migration);
+  const double bytes = copy.bytes;
+  const QueryId copy_query = src.Submit(copy.query);
 
   simulator_->ScheduleAfter(params_.migration.min_copy_time,
                             [this, p, copy_query, bytes] {
@@ -177,19 +170,16 @@ void ClusterEngine::CheckDrain(PartitionId p, QueryId copy_query,
 
 void ClusterEngine::CommitOrCancel(PartitionId p, double bytes) {
   // Crash-cancelled while the copy was on the wire: the crash path already
-  // cancelled the migration and adjusted the counters.
+  // cancelled the migration.
   if (!placement_->IsMigrating(p)) return;
-  --active_migrations_;
   if (!cluster_->IsOn(placement_->MigrationTarget(p))) {
     // Destination powered down while the copy was on the wire. The source
     // was never unhomed, so cancelling loses nothing: it kept serving the
     // queued tail and stays the home.
     placement_->CancelMigration(p);
-    ++migrations_cancelled_;
     return;
   }
   placement_->CommitMigration(p);
-  ++migrations_completed_;
   bytes_moved_ += bytes;
 }
 
@@ -211,8 +201,6 @@ void ClusterEngine::OnNodeCrash(NodeId n) {
     if (!placement_->IsMigrating(p)) continue;
     if (placement_->HomeOf(p) == n || placement_->MigrationTarget(p) == n) {
       placement_->CancelMigration(p);
-      ++migrations_cancelled_;
-      --active_migrations_;
     }
   }
 
@@ -238,18 +226,11 @@ void ClusterEngine::OnNodeCrash(NodeId n) {
     placement_->ForceRehome(p, to);
 
     Engine& dst = node_engine(to);
-    const double actual =
-        static_cast<double>(dst.db().partition(p)->MemoryBytes());
-    const double bytes = std::max(actual, params_.migration.min_shard_bytes);
-    const double ops = std::max(1.0, bytes / params_.migration.bytes_per_op);
-    QuerySpec copy;
-    copy.profile = &ShardCopyProfile();
-    copy.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
-    copy.origin_socket = dst.placement().HomeOf(p);
-    copy.internal = true;
-    dst.Submit(copy);
+    const ShardCopy copy = MakeShardCopy(dst.db(), p, dst.placement().HomeOf(p),
+                                         params_.migration);
+    dst.Submit(copy.query);
     ++crash_recoveries_;
-    recovery_bytes_ += bytes;
+    recovery_bytes_ += copy.bytes;
   }
 }
 

@@ -120,10 +120,14 @@ class ClusterEngine {
 
   int64_t remote_sends() const { return remote_sends_; }
   int64_t stale_forwards() const { return stale_forwards_; }
-  int active_migrations() const { return active_migrations_; }
+  int active_migrations() const { return placement_->migrating_count(); }
   int64_t migrations_started() const { return migrations_started_; }
-  int64_t migrations_completed() const { return migrations_completed_; }
-  int64_t migrations_cancelled() const { return migrations_cancelled_; }
+  int64_t migrations_completed() const {
+    return placement_->completed_migrations();
+  }
+  int64_t migrations_cancelled() const {
+    return placement_->cancelled_migrations();
+  }
   double bytes_moved() const { return bytes_moved_; }
 
   /// Non-internal queries failed across all node schedulers plus
@@ -151,10 +155,7 @@ class ClusterEngine {
 
   int64_t remote_sends_ = 0;
   int64_t stale_forwards_ = 0;
-  int active_migrations_ = 0;
   int64_t migrations_started_ = 0;
-  int64_t migrations_completed_ = 0;
-  int64_t migrations_cancelled_ = 0;
   double bytes_moved_ = 0.0;
   int64_t forward_drops_ = 0;
   int64_t crash_recoveries_ = 0;

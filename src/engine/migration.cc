@@ -5,7 +5,9 @@
 #include "common/check.h"
 
 namespace ecldb::engine {
+namespace {
 
+/// Work profile of the shard copy (read + remote write per cache line).
 const hwsim::WorkProfile& ShardCopyProfile() {
   static const hwsim::WorkProfile* profile = [] {
     auto* p = new hwsim::WorkProfile();
@@ -21,6 +23,21 @@ const hwsim::WorkProfile& ShardCopyProfile() {
     return p;
   }();
   return *profile;
+}
+
+}  // namespace
+
+ShardCopy MakeShardCopy(const Database& db, PartitionId p, SocketId origin,
+                        const MigrationParams& params) {
+  ShardCopy copy;
+  const double actual = static_cast<double>(db.partition(p)->MemoryBytes());
+  copy.bytes = std::max(actual, params.min_shard_bytes);
+  const double ops = std::max(1.0, copy.bytes / params.bytes_per_op);
+  copy.query.profile = &ShardCopyProfile();
+  copy.query.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
+  copy.query.origin_socket = origin;
+  copy.query.internal = true;
+  return copy;
 }
 
 MigrationCoordinator::MigrationCoordinator(
@@ -40,21 +57,15 @@ MigrationCoordinator::MigrationCoordinator(
     telemetry::MetricRegistry& reg = tel->registry();
     reg.AddCounterFn("engine/migrations_started", [this] { return started_; });
     reg.AddCounterFn("engine/migrations_completed",
-                     [this] { return completed_; });
+                     [this] { return completed(); });
     reg.AddCounterFn("engine/migration_messages_rehomed",
                      [this] { return messages_rehomed_; });
     reg.AddGauge("engine/migrations_active",
-                 [this] { return static_cast<double>(active_); });
+                 [this] { return static_cast<double>(active()); });
     reg.AddGauge("engine/migration_bytes_moved",
                  [this] { return bytes_moved_; });
     trace_lane_ = tel->trace().RegisterLane("engine/migration");
   }
-}
-
-double MigrationCoordinator::CopyBytes(PartitionId p) const {
-  const double actual =
-      static_cast<double>(db_->partition(p)->MemoryBytes());
-  return std::max(actual, params_.min_shard_bytes);
 }
 
 bool MigrationCoordinator::StartMigration(PartitionId p, SocketId to) {
@@ -65,17 +76,11 @@ bool MigrationCoordinator::StartMigration(PartitionId p, SocketId to) {
   if (placement_->IsMigrating(p) || placement_->HomeOf(p) == to) return false;
   const SocketId from = placement_->HomeOf(p);
   placement_->BeginMigration(p, to);
-  ++active_;
   ++started_;
 
-  const double bytes = CopyBytes(p);
-  const double ops = std::max(1.0, bytes / params_.bytes_per_op);
-  QuerySpec copy;
-  copy.profile = &ShardCopyProfile();
-  copy.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
-  copy.origin_socket = from;
-  copy.internal = true;
-  const QueryId copy_query = scheduler_->Submit(copy);
+  const ShardCopy copy = MakeShardCopy(*db_, p, from, params_);
+  const double bytes = copy.bytes;
+  const QueryId copy_query = scheduler_->Submit(copy.query);
 
   // First handover check after the analytic QPI-limited copy estimate;
   // completion is then polled, because the copy's true finish time also
@@ -113,8 +118,6 @@ void MigrationCoordinator::Handover(PartitionId p, double bytes,
   messages_rehomed_ += rehomed;
   placement_->CommitMigration(p);
   bytes_moved_ += bytes;
-  --active_;
-  ++completed_;
   if (telemetry::Telemetry* tel = params_.telemetry; tel != nullptr) {
     // One span per migration: drain+copy start through placement commit.
     tel->trace().Span(

@@ -68,16 +68,15 @@ class MigrationCoordinator {
   bool StartMigration(PartitionId p, SocketId to);
 
   /// Migrations currently in flight.
-  int active() const { return active_; }
+  int active() const { return placement_->migrating_count(); }
   int64_t started() const { return started_; }
-  int64_t completed() const { return completed_; }
+  int64_t completed() const { return placement_->completed_migrations(); }
   /// Total shard bytes copied by completed migrations.
   double bytes_moved() const { return bytes_moved_; }
   /// Queued messages that travelled with rehomed queues.
   int64_t messages_rehomed() const { return messages_rehomed_; }
 
  private:
-  double CopyBytes(PartitionId p) const;
   void CheckHandover(PartitionId p, QueryId copy_query, double bytes,
                      SimTime t_start);
   void Handover(PartitionId p, double bytes, SimTime t_start);
@@ -90,17 +89,23 @@ class MigrationCoordinator {
   Scheduler* scheduler_;
   MigrationParams params_;
 
-  int active_ = 0;
   int64_t started_ = 0;
-  int64_t completed_ = 0;
   double bytes_moved_ = 0.0;
   int64_t messages_rehomed_ = 0;
   int trace_lane_ = 0;  // "engine/migration" lane when telemetry is attached
 };
 
-/// Work profile of the shard copy: a streaming, bandwidth-bound memcpy
-/// through the hwsim memory model (read + remote write per cache line).
-const hwsim::WorkProfile& ShardCopyProfile();
+/// The internal query that drains and copies partition `p`'s shard, as
+/// submitted on the engine hosting it. Its modeled size is the partition's
+/// in-memory bytes, floored at `params.min_shard_bytes`, charged as
+/// max(1, bytes / bytes_per_op) fluid ops of a streaming, bandwidth-bound
+/// memcpy through the hwsim memory model, entering at socket `origin`.
+struct ShardCopy {
+  QuerySpec query;
+  double bytes = 0.0;
+};
+ShardCopy MakeShardCopy(const Database& db, PartitionId p, SocketId origin,
+                        const MigrationParams& params);
 
 }  // namespace ecldb::engine
 

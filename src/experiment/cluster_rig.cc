@@ -63,14 +63,7 @@ ClusterRig::ClusterRig(const ClusterWorkloadFactory& factory,
     cluster_ecl_ = std::make_unique<ecl::ClusterEcl>(
         &simulator_, cengine_.get(),
         [&node_ecls](NodeId n) {
-          ecl::EnergyControlLoop& loop = *node_ecls[static_cast<size_t>(n)];
-          double load = 0.0;
-          for (int s = 0; s < loop.num_sockets(); ++s) {
-            const ecl::SocketEcl& se = loop.socket(s);
-            const double peak = se.profile().PeakPerfScore();
-            if (peak > 0.0) load += se.performance_level() / peak;
-          }
-          return load / loop.num_sockets();
+          return node_ecls[static_cast<size_t>(n)]->RelativeLoad();
         },
         [&node_ecls](NodeId n) {
           return node_ecls[static_cast<size_t>(n)]->system().pressure();
@@ -130,45 +123,6 @@ double ClusterRig::MaxNodePressure() const {
     p = std::max(p, ecl->system().pressure());
   }
   return p;
-}
-
-ClusterLoadDriver::ClusterLoadDriver(ClusterRig* rig,
-                                     const workload::LoadProfile* profile,
-                                     const workload::DriverParams& params)
-    : rig_(rig), profile_(profile), params_(params), rng_(params.seed) {
-  ECLDB_CHECK(rig != nullptr && profile != nullptr);
-  ECLDB_CHECK(params.capacity_qps > 0.0);
-}
-
-void ClusterLoadDriver::Start() {
-  start_time_ = rig_->simulator().now();
-  ScheduleNext();
-}
-
-void ClusterLoadDriver::ScheduleNext() {
-  sim::Simulator& simulator = rig_->simulator();
-  const SimTime rel = simulator.now() - start_time_;
-  if (rel >= profile_->duration()) return;
-  const double rate = profile_->LoadAt(rel) * params_.capacity_qps;
-  if (rate <= 1e-9) {
-    simulator.ScheduleAfter(Millis(50), [this] { ScheduleNext(); });
-    return;
-  }
-  const double gap_s =
-      params_.poisson ? rng_.NextExponential(rate) : 1.0 / rate;
-  const SimDuration gap = std::max<SimDuration>(
-      Nanos(100), static_cast<SimDuration>(gap_s * 1e9));
-  simulator.ScheduleAfter(gap, [this] {
-    const SimTime t = rig_->simulator().now() - start_time_;
-    if (t < profile_->duration()) {
-      const engine::QuerySpec spec = rig_->workload().MakeQuery(rng_);
-      if (!spec.work.empty()) {
-        rig_->cengine().Submit(rig_->EntryNodeFor(spec), spec);
-        ++submitted_;
-      }
-    }
-    ScheduleNext();
-  });
 }
 
 }  // namespace ecldb::experiment

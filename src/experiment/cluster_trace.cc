@@ -27,7 +27,19 @@ ClusterRunResult RunClusterExperiment(const ClusterWorkloadFactory& factory,
   workload::DriverParams driver_params;
   driver_params.capacity_qps = capacity;
   driver_params.seed = options.driver_seed;
-  ClusterLoadDriver driver(&rig, &profile, driver_params);
+  // Each query enters through the rig's routing mode: at its home node by
+  // default (partition-aware clients know the placement the way the
+  // paper's clients know the socket of a partition), or at a random
+  // powered-on node in any-node mode. Work for partitions that moved
+  // since the routing table was read still crosses the network as a stale
+  // forward.
+  workload::LoadDriver driver(
+      &simulator, &rig.workload(), &profile, driver_params,
+      [&rig, &cengine](const engine::QuerySpec& spec) {
+        if (spec.work.empty()) return false;
+        cengine.Submit(rig.EntryNodeFor(spec), spec);
+        return true;
+      });
 
   ClusterRunResult result;
   result.capacity_qps = capacity;

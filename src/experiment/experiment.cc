@@ -125,24 +125,10 @@ RunResult RunLoadExperiment(const WorkloadFactory& factory,
       return static_cast<double>(threads);
     });
     ecl::EnergyControlLoop* const lp = loop.get();
-    reg.AddGauge("exp/perf_level_frac", [lp] {
-      if (lp == nullptr) return 0.0;
-      double level = 0.0;
-      for (int sk = 0; sk < lp->num_sockets(); ++sk) {
-        const ecl::SocketEcl& se = lp->socket(sk);
-        const double peak = se.profile().PeakPerfScore();
-        if (peak > 0.0) level += se.performance_level() / peak;
-      }
-      return level / lp->num_sockets();
-    });
-    reg.AddGauge("exp/utilization", [lp] {
-      if (lp == nullptr) return 0.0;
-      double util = 0.0;
-      for (int sk = 0; sk < lp->num_sockets(); ++sk) {
-        util += lp->socket(sk).last_utilization();
-      }
-      return util / lp->num_sockets();
-    });
+    reg.AddGauge("exp/perf_level_frac",
+                 [lp] { return lp == nullptr ? 0.0 : lp->RelativeLoad(); });
+    reg.AddGauge("exp/utilization",
+                 [lp] { return lp == nullptr ? 0.0 : lp->MeanUtilization(); });
     for (SocketId sk = 0; sk < topo.num_sockets; ++sk) {
       const std::string base = "exp/socket" + std::to_string(sk) + "/";
       auto last_se = std::make_shared<double>(SocketEnergyJ(machine, sk));
@@ -179,16 +165,8 @@ RunResult RunLoadExperiment(const WorkloadFactory& factory,
         s.partitions_on_socket.push_back(engine.placement().PartitionsOn(sk));
       }
       if (loop != nullptr) {
-        double level = 0.0;
-        double util = 0.0;
-        for (int sk = 0; sk < loop->num_sockets(); ++sk) {
-          const ecl::SocketEcl& se = loop->socket(sk);
-          const double peak = se.profile().PeakPerfScore();
-          if (peak > 0.0) level += se.performance_level() / peak;
-          util += se.last_utilization();
-        }
-        s.perf_level_frac = level / loop->num_sockets();
-        s.utilization = util / loop->num_sockets();
+        s.perf_level_frac = loop->RelativeLoad();
+        s.utilization = loop->MeanUtilization();
       }
       result.series.push_back(s);
     });

@@ -1,6 +1,7 @@
 #include "workload/driver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -9,14 +10,23 @@ namespace ecldb::workload {
 LoadDriver::LoadDriver(sim::Simulator* simulator, engine::Engine* engine,
                        Workload* workload, const LoadProfile* profile,
                        const DriverParams& params)
+    : LoadDriver(simulator, workload, profile, params,
+                 [engine](const engine::QuerySpec& spec) {
+                   engine->Submit(spec);
+                   return true;
+                 }) {}
+
+LoadDriver::LoadDriver(sim::Simulator* simulator, Workload* workload,
+                       const LoadProfile* profile, const DriverParams& params,
+                       SubmitFn submit)
     : simulator_(simulator),
-      engine_(engine),
       workload_(workload),
+      submit_(std::move(submit)),
       profile_(profile),
       params_(params),
       rng_(params.seed) {
-  ECLDB_CHECK(simulator != nullptr && engine != nullptr &&
-              workload != nullptr && profile != nullptr);
+  ECLDB_CHECK(simulator != nullptr && workload != nullptr &&
+              profile != nullptr && submit_ != nullptr);
   ECLDB_CHECK(params.capacity_qps > 0.0);
 }
 
@@ -43,8 +53,7 @@ void LoadDriver::ScheduleNext() {
   simulator_->ScheduleAfter(gap, [this] {
     const SimTime t = simulator_->now() - start_time_;
     if (t < profile_->duration()) {
-      engine_->Submit(workload_->MakeQuery(rng_));
-      ++submitted_;
+      if (submit_(workload_->MakeQuery(rng_))) ++submitted_;
     }
     ScheduleNext();
   });

@@ -21,15 +21,23 @@ struct DriverParams {
   uint64_t seed = 4242;
 };
 
-/// Open-loop load driver: submits workload queries to the engine following
-/// a load profile (arrival rate = LoadAt(t) * capacity_qps). Queries are
+/// Open-loop load driver: submits workload queries following a load
+/// profile (arrival rate = LoadAt(t) * capacity_qps). Queries are
 /// submitted regardless of completion — overload phases therefore build up
 /// backlog exactly as an external client population would.
 class LoadDriver {
  public:
+  /// Hands one generated query to the system; returns whether it was
+  /// submitted (only submitted queries are counted).
+  using SubmitFn = std::function<bool(const engine::QuerySpec&)>;
+
+  /// Submits every query to `engine`.
   LoadDriver(sim::Simulator* simulator, engine::Engine* engine,
              Workload* workload, const LoadProfile* profile,
              const DriverParams& params);
+  LoadDriver(sim::Simulator* simulator, Workload* workload,
+             const LoadProfile* profile, const DriverParams& params,
+             SubmitFn submit);
 
   /// Schedules the arrival process starting at the current virtual time.
   /// The driver stops once the profile's duration has elapsed.
@@ -45,8 +53,8 @@ class LoadDriver {
   void ScheduleNext();
 
   sim::Simulator* simulator_;
-  engine::Engine* engine_;
   Workload* workload_;
+  SubmitFn submit_;
   const LoadProfile* profile_;
   DriverParams params_;
   Rng rng_;

@@ -408,7 +408,7 @@ TEST_F(ClusterEclTest, ConsolidatesAndPowersDownAtLowPressure) {
   const PlacementMap& placement = engine_->placement();
   EXPECT_EQ(placement.PartitionsOn(0) + placement.PartitionsOn(1), 8);
   EXPECT_TRUE(placement.PartitionsOn(0) == 0 || placement.PartitionsOn(1) == 0);
-  // min_nodes_on keeps the last node up no matter how idle.
+  // kMinNodesOn keeps the last node up no matter how idle.
   sim_.RunFor(Seconds(10));
   EXPECT_EQ(cluster_->NodesOn(), 1);
   EXPECT_EQ(ecl_->power_downs(), 1);
@@ -431,6 +431,36 @@ TEST_F(ClusterEclTest, RisingPressureWakesAndSpreadsBack) {
   EXPECT_EQ(engine_->placement().PartitionsOn(1), 4);
   // No node powers down while pressure holds above the wake threshold.
   EXPECT_EQ(ecl_->power_downs(), 1);
+}
+
+TEST_F(ClusterEclTest, ReversalHeldUntilPostMigrationHoldExpires) {
+  ecl::ClusterEclParams params = FastParams();
+  params.post_migration_hold = Seconds(10);
+  // Keep the drained donor on, so the spread below needs no wake.
+  params.min_on_time = Seconds(600);
+  BuildWithEcl(params);
+  sim_.RunFor(Seconds(3));
+  // One consolidate batch emptied node 0 and has landed; the tick that
+  // observed it (at t <= 3 s) started the hold.
+  ASSERT_EQ(ecl_->consolidation_moves(), 4);
+  ASSERT_EQ(engine_->migrations_completed(), 4);
+  ASSERT_EQ(engine_->placement().PartitionsOn(0), 0);
+  ASSERT_EQ(cluster_->NodesOn(), 2);
+
+  // Pressure past the spread threshold but below the hard wake level: the
+  // reversal waits out the hold instead of reacting to the transient.
+  pressure_ = 0.4;
+  sim_.RunFor(Seconds(6));
+  EXPECT_EQ(ecl_->spread_moves(), 0);
+  EXPECT_EQ(engine_->placement().PartitionsOn(0), 0);
+  EXPECT_EQ(ecl_->wakes(), 0);
+
+  // The hold (at most 10 s after t = 3 s) has expired: spread moves half
+  // the 8-partition gap back.
+  sim_.RunFor(Seconds(6));
+  EXPECT_EQ(ecl_->spread_moves(), 4);
+  EXPECT_EQ(engine_->placement().PartitionsOn(0), 4);
+  EXPECT_EQ(ecl_->consolidation_moves(), 4);
 }
 
 TEST_F(ClusterEclTest, BacklogOnOffNodeTriggersWakeAndWorkCompletes) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "ecl/ecl.h"
@@ -270,6 +271,61 @@ TEST_F(MigrationTest, ChargesBandwidthLimitedCopyCost) {
 // ---------------------------------------------------------------------------
 // Consolidation policy (system-level ECL)
 // ---------------------------------------------------------------------------
+
+// Drives the socket scope with synthetic load/pressure signals, as
+// ClusterEclTest does for the node scope.
+class SocketConsolidationTest : public MigrationTest {
+ protected:
+  /// Starts the policy at t = 0 and runs past its first tick (t = 1 s),
+  /// which stages one consolidate batch from socket 0 onto socket 1.
+  void ConsolidateOneBatch() {
+    AllOn();
+    policy_ = std::make_unique<ecl::ConsolidationPolicy>(
+        &sim_, ecl::SocketScope(
+                   &engine_, [this](SocketId) { return load_; },
+                   [this] { return pressure_; }, nullptr));
+    policy_->Start();
+    sim_.RunFor(Millis(1500));
+    ASSERT_EQ(policy_->consolidation_moves(), ecl::kSocketMigrationsPerTick);
+    ASSERT_EQ(engine_.migrator().completed(), ecl::kSocketMigrationsPerTick);
+    ASSERT_EQ(engine_.placement().PartitionsOn(0), 20);
+  }
+
+  std::unique_ptr<ecl::ConsolidationPolicy> policy_;
+  double load_ = 0.05;
+  double pressure_ = 0.0;
+};
+
+TEST_F(SocketConsolidationTest, ReversalHeldUntilPostMigrationHoldExpires) {
+  ConsolidateOneBatch();
+  // The t = 2 s tick observes the landed batch and starts the 15 s hold.
+  // Pressure 0.6 is past the spread threshold but below the hard one: the
+  // reversal waits, and the next consolidation is blocked by pressure.
+  pressure_ = 0.6;
+  sim_.RunFor(Seconds(15));  // t = 16.5 s
+  EXPECT_EQ(policy_->spread_moves(), 0);
+  EXPECT_EQ(policy_->consolidation_moves(), 4);
+  EXPECT_EQ(engine_.placement().PartitionsOn(0), 20);
+  // The t = 17 s tick is past the hold: spread moves half the 8-partition
+  // gap back, preferring partitions whose initial home was socket 0.
+  sim_.RunFor(Seconds(1));
+  EXPECT_EQ(policy_->spread_moves(), 4);
+  sim_.RunFor(Seconds(1));
+  EXPECT_EQ(engine_.placement().PartitionsOn(0), 24);
+  for (PartitionId p = 0; p < 24; ++p) {
+    EXPECT_EQ(engine_.placement().HomeOf(p), 0) << p;
+  }
+}
+
+TEST_F(SocketConsolidationTest, HardPressureSpreadsThroughTheHold) {
+  ConsolidateOneBatch();
+  // At hard pressure the latency limit is genuinely threatened: the t = 2 s
+  // tick spreads at once, inside the hold.
+  pressure_ = 0.95;
+  sim_.RunFor(Seconds(1));  // t = 2.5 s
+  EXPECT_EQ(policy_->spread_moves(), 4);
+  EXPECT_EQ(policy_->consolidation_moves(), 4);
+}
 
 TEST(ConsolidationTest, LowLoadEmptiesAndParksASocket) {
   experiment::RunOptions options;
