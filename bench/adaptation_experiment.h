@@ -100,7 +100,9 @@ inline AdaptationResult RunAdaptationExperiment(AdaptationMode mode) {
   double e_at_switch = 0.0;
   double e_prev = e0;
   for (int t = 1; t <= 120; ++t) {
-    if (t == 40) {
+    // Iteration t simulates second t - 1 to t, so the switch at t = 40 s
+    // comes before iteration 41.
+    if (t == 41) {
       driver2.Start();
       e_at_switch = machine.TotalEnergyJoules();
       engine.latency().ResetRunStats();

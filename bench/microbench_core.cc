@@ -319,11 +319,9 @@ void BM_PredictorPredict(benchmark::State& state) {
   const hwsim::Topology topo = hwsim::Topology::HaswellEp2S();
   profile::ConfigGenerator gen(topo, hwsim::FrequencyTable::HaswellEp());
   profile::EnergyProfile profile(gen.Generate(profile::GeneratorParams{}));
-  ecl::ProfilePredictorParams params;
-  params.enabled = true;
-  ecl::ProfilePredictor pred(profile.size(), params);
+  ecl::ProfilePredictor pred(profile.size());
   Rng rng(7);
-  for (int round = 0; round < params.max_entries_per_config; ++round) {
+  for (int round = 0; round < ecl::kPredictorMaxEntriesPerConfig; ++round) {
     for (int i = 1; i < profile.size(); ++i) {
       pred.Observe(i, MakeFeature(rng), 20.0 + rng.NextDouble() * 100.0,
                    1e9 * (0.1 + rng.NextDouble()), Seconds(round + 1));
@@ -345,9 +343,7 @@ void BM_PredictorObserve(benchmark::State& state) {
   const hwsim::Topology topo = hwsim::Topology::HaswellEp2S();
   profile::ConfigGenerator gen(topo, hwsim::FrequencyTable::HaswellEp());
   profile::EnergyProfile profile(gen.Generate(profile::GeneratorParams{}));
-  ecl::ProfilePredictorParams params;
-  params.enabled = true;
-  ecl::ProfilePredictor pred(profile.size(), params);
+  ecl::ProfilePredictor pred(profile.size());
   Rng rng(11);
   std::vector<profile::FeatureVector> features;
   for (int i = 0; i < 64; ++i) features.push_back(MakeFeature(rng));

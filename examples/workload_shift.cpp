@@ -52,7 +52,7 @@ int main() {
   ecl::SocketEcl& se = loop.socket(0);
   int64_t prev_evals = 0;
   for (int t = 1; t <= 60; ++t) {
-    if (t == 20) driver2.Start();
+    if (t == 21) driver2.Start();  // iteration t runs second t - 1 to t
     sim.RunFor(Seconds(1));
     if (t % 4 == 0 || (t >= 19 && t <= 26)) {
       const profile::Configuration& cfg =

@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "hwsim/firmware.h"
+#include "profile/config_generator.h"
 
 namespace ecldb::ecl {
 
@@ -21,7 +22,8 @@ EnergyControlLoop::EnergyControlLoop(sim::Simulator* simulator,
 
   profile::ConfigGenerator generator(machine.topology(), machine.freqs());
   for (SocketId s = 0; s < machine.topology().num_sockets; ++s) {
-    profile::EnergyProfile profile(generator.Generate(params_.generator));
+    profile::EnergyProfile profile(
+        generator.Generate(profile::GeneratorParams{}));
     sockets_.push_back(std::make_unique<SocketEcl>(
         simulator_, &machine, s, std::move(profile), system_.get(),
         [this, s] { return engine_->TakeSocketUtilization(s); },
@@ -59,9 +61,9 @@ double EnergyControlLoop::MeanUtilization() const {
 
 void EnergyControlLoop::Start() {
   hwsim::Machine& machine = engine_->machine();
-  if (params_.set_epb_performance) {
-    machine.SetEpb(hwsim::EpbSetting::kPerformance);
-  }
+  // Explicit energy control pins the EPB to performance mode (the
+  // conclusion of the paper's Section 2.3).
+  machine.SetEpb(hwsim::EpbSetting::kPerformance);
   for (SocketId s = 0; s < machine.topology().num_sockets; ++s) {
     machine.SetUncoreMode(s, hwsim::UncoreMode::kPinned);
   }

@@ -9,7 +9,6 @@
 #include "ecl/socket_ecl.h"
 #include "ecl/system_ecl.h"
 #include "engine/engine.h"
-#include "profile/config_generator.h"
 #include "sim/simulator.h"
 
 namespace ecldb::ecl {
@@ -17,10 +16,6 @@ namespace ecldb::ecl {
 struct EclParams {
   SocketEclParams socket;
   SystemEclParams system;
-  profile::GeneratorParams generator;
-  /// Pin the EPB to performance mode when doing explicit energy control
-  /// (the conclusion of the paper's Section 2.3).
-  bool set_epb_performance = true;
   /// Whole-socket consolidation through live partition migration
   /// (disabled by default; see ConsolidationPolicy).
   ConsolidationParams consolidation;

@@ -33,8 +33,7 @@ double MetaCalibration::ProbePowerW(const hwsim::SocketConfig& cfg,
          ToSeconds(measure);
 }
 
-MetaCalibrationResult MetaCalibration::Run(const hwsim::WorkProfile& work,
-                                           const MetaCalibrationParams& params) {
+MetaCalibrationResult MetaCalibration::Run(const hwsim::WorkProfile& work) {
   const hwsim::Topology& topo = machine_->topology();
   const hwsim::FrequencyTable& freqs = machine_->freqs();
   const hwsim::SocketConfig highest = hwsim::SocketConfig::AllOn(
@@ -48,40 +47,42 @@ MetaCalibrationResult MetaCalibration::Run(const hwsim::WorkProfile& work,
   // configuration dominates the deviation (its absolute power is small),
   // so deviations are tracked on it.
   double ref_low = 0.0;
-  for (int p = 0; p < params.probes; ++p) {
-    ProbePowerW(highest, work, params.reference_apply, params.reference_measure);
-    ref_low += ProbePowerW(lowest, work, params.reference_apply,
-                           params.reference_measure);
+  for (int p = 0; p < kCalibrationProbes; ++p) {
+    ProbePowerW(highest, work, kCalibrationReferenceApply,
+                kCalibrationReferenceMeasure);
+    ref_low += ProbePowerW(lowest, work, kCalibrationReferenceApply,
+                           kCalibrationReferenceMeasure);
   }
-  ref_low /= params.probes;
+  ref_low /= kCalibrationProbes;
   ECLDB_CHECK(ref_low > 0.0);
 
   // Sweep the measure time (apply time stays at the reference).
-  result.measure_time = params.reference_measure;
-  for (SimDuration cand : params.candidates) {
+  result.measure_time = kCalibrationReferenceMeasure;
+  for (SimDuration cand : kCalibrationCandidates) {
     double dev = 0.0;
-    for (int p = 0; p < params.probes; ++p) {
-      ProbePowerW(highest, work, params.reference_apply, cand);
-      const double low = ProbePowerW(lowest, work, params.reference_apply, cand);
+    for (int p = 0; p < kCalibrationProbes; ++p) {
+      ProbePowerW(highest, work, kCalibrationReferenceApply, cand);
+      const double low =
+          ProbePowerW(lowest, work, kCalibrationReferenceApply, cand);
       dev += std::abs(low - ref_low) / ref_low;
     }
-    dev /= params.probes;
+    dev /= kCalibrationProbes;
     result.measure_sweep.push_back({cand, dev});
-    if (dev <= params.tolerance) result.measure_time = cand;
+    if (dev <= kCalibrationTolerance) result.measure_time = cand;
   }
 
   // Sweep the apply time using the chosen measure time.
-  result.apply_time = params.reference_apply;
-  for (SimDuration cand : params.candidates) {
+  result.apply_time = kCalibrationReferenceApply;
+  for (SimDuration cand : kCalibrationCandidates) {
     double dev = 0.0;
-    for (int p = 0; p < params.probes; ++p) {
+    for (int p = 0; p < kCalibrationProbes; ++p) {
       ProbePowerW(highest, work, cand, result.measure_time);
       const double low = ProbePowerW(lowest, work, cand, result.measure_time);
       dev += std::abs(low - ref_low) / ref_low;
     }
-    dev /= params.probes;
+    dev /= kCalibrationProbes;
     result.apply_sweep.push_back({cand, dev});
-    if (dev <= params.tolerance) result.apply_time = cand;
+    if (dev <= kCalibrationTolerance) result.apply_time = cand;
   }
   return result;
 }

@@ -1,6 +1,7 @@
 #ifndef ECLDB_ECL_META_CALIBRATION_H_
 #define ECLDB_ECL_META_CALIBRATION_H_
 
+#include <array>
 #include <vector>
 
 #include "common/types.h"
@@ -11,19 +12,17 @@
 
 namespace ecldb::ecl {
 
-struct MetaCalibrationParams {
-  /// Generous reference durations.
-  SimDuration reference_apply = Millis(300);
-  SimDuration reference_measure = Millis(300);
-  /// Candidate durations tried, descending.
-  std::vector<SimDuration> candidates = {Millis(300), Millis(200), Millis(100),
-                                         Millis(50),  Millis(20),  Millis(10),
-                                         Millis(5),   Millis(2),   Millis(1)};
-  /// Acceptable relative deviation from the reference measurement.
-  double tolerance = 0.03;
-  /// Probes averaged per candidate.
-  int probes = 4;
-};
+/// Generous reference durations of the calibration (paper Fig. 12).
+inline constexpr SimDuration kCalibrationReferenceApply = Millis(300);
+inline constexpr SimDuration kCalibrationReferenceMeasure = Millis(300);
+/// Candidate durations tried, descending (Fig. 12's x axis).
+inline constexpr std::array<SimDuration, 9> kCalibrationCandidates = {
+    Millis(300), Millis(200), Millis(100), Millis(50), Millis(20),
+    Millis(10),  Millis(5),   Millis(2),   Millis(1)};
+/// Acceptable relative deviation from the reference measurement.
+inline constexpr double kCalibrationTolerance = 0.03;
+/// Probes averaged per candidate.
+inline constexpr int kCalibrationProbes = 4;
 
 /// Result of one calibration sweep step.
 struct CalibrationPoint {
@@ -53,8 +52,7 @@ class MetaCalibration {
 
   /// Runs the calibration under the given synthetic workload; consumes
   /// virtual time on the simulator.
-  MetaCalibrationResult Run(const hwsim::WorkProfile& work,
-                            const MetaCalibrationParams& params);
+  MetaCalibrationResult Run(const hwsim::WorkProfile& work);
 
  private:
   /// One probe: apply `cfg`, wait `apply`, measure power over `measure`.

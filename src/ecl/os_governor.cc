@@ -32,7 +32,7 @@ void OsGovernor::Start() {
     machine.SetUncoreMode(s, hwsim::UncoreMode::kAuto);
   }
   Apply(machine.freqs().max_core());
-  simulator_->ScheduleAfter(params_.interval, [this] { Tick(); });
+  simulator_->ScheduleAfter(kGovernorInterval, [this] { Tick(); });
 }
 
 void OsGovernor::Tick() {
@@ -52,14 +52,14 @@ void OsGovernor::Tick() {
 
   const hwsim::FrequencyTable& freqs = machine.freqs();
   double target;
-  if (util >= params_.up_threshold) {
+  if (util >= kGovernorUpThreshold) {
     target = freqs.max_core();  // ondemand: jump straight to the maximum
   } else {
     target = std::max(freqs.min_core(),
-                      freqs.max_core_nominal() * util / params_.up_threshold);
+                      freqs.max_core_nominal() * util / kGovernorUpThreshold);
   }
   Apply(freqs.NearestCore(target));
-  simulator_->ScheduleAfter(params_.interval, [this] { Tick(); });
+  simulator_->ScheduleAfter(kGovernorInterval, [this] { Tick(); });
 }
 
 }  // namespace ecldb::ecl

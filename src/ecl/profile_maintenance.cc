@@ -9,7 +9,7 @@ ProfileMaintenance::OnlineOutcome ProfileMaintenance::RecordOnline(
     profile::EnergyProfile* profile, int index, double power_w,
     double perf_score, SimTime now) {
   OnlineOutcome outcome;
-  if (!params_.enable_online || index <= 0 || index >= profile->size()) {
+  if (!online_ || index <= 0 || index >= profile->size()) {
     return outcome;
   }
   // Sensor sanity: a RAPL dropout freezes the published energy counters,
@@ -26,7 +26,7 @@ ProfileMaintenance::OnlineOutcome ProfileMaintenance::RecordOnline(
       perf_score > 0.0) {
     const double power_dev = std::abs(power_w - c.power_w) / c.power_w;
     const double perf_dev = std::abs(perf_score - c.perf_score) / c.perf_score;
-    if (std::max(power_dev, perf_dev) > params_.drift_threshold) {
+    if (std::max(power_dev, perf_dev) > kDriftThreshold) {
       outcome.drift_detected = true;
     }
   }
@@ -38,14 +38,14 @@ ProfileMaintenance::OnlineOutcome ProfileMaintenance::RecordOnline(
 
 ProfileMaintenance::SeedOutcome ProfileMaintenance::SeedFromPredictions(
     profile::EnergyProfile* profile, const ProfilePredictor& predictor,
-    const profile::FeatureVector& features, double threshold, SimTime now) {
+    const profile::FeatureVector& features, SimTime now) {
   SeedOutcome outcome;
   if (!features.valid) return outcome;
   double ignorance_sum = 0.0;
   for (int i = 1; i < profile->size(); ++i) {
     const ProfilePredictor::Prediction p = predictor.Predict(i, features);
     ignorance_sum += p.ignorance;
-    if (p.ignorance <= threshold && p.perf_score > 0.0) {
+    if (p.ignorance <= kPredictorIgnoranceThreshold && p.perf_score > 0.0) {
       const bool was_stale = profile->config(i).force_stale;
       profile->Record(i, p.power_w, p.perf_score, now);
       ++predictor_hits_;
@@ -67,16 +67,15 @@ ProfileMaintenance::SeedOutcome ProfileMaintenance::SeedFromPredictions(
 std::vector<int> ProfileMaintenance::PickForReevaluation(
     const profile::EnergyProfile& profile, SimTime now) {
   std::vector<int> picks;
-  if (!params_.enable_multiplexed) return picks;
-  const std::vector<int> stale = profile.StaleConfigs(now, params_.stale_age);
+  if (!multiplexed_) return picks;
+  const std::vector<int> stale = profile.StaleConfigs(now, kStaleAge);
   if (stale.empty()) {
     reeval_cursor_ = 0;
     return picks;
   }
   // Round-robin through the stale set so repeated calls make progress even
   // if earlier entries stay stale (e.g. evaluation was preempted).
-  for (int i = 0; i < params_.evals_per_interval &&
-                  i < static_cast<int>(stale.size());
+  for (int i = 0; i < kEvalsPerInterval && i < static_cast<int>(stale.size());
        ++i) {
     picks.push_back(stale[(reeval_cursor_ + static_cast<size_t>(i)) % stale.size()]);
   }

@@ -10,19 +10,17 @@
 
 namespace ecldb::ecl {
 
-struct ProfileMaintenanceParams {
-  bool enable_online = true;
-  bool enable_multiplexed = true;
-  /// Relative deviation between a fresh online measurement and the stored
-  /// configuration data that indicates a workload change (drift) and
-  /// triggers multiplexed reevaluation of the whole profile.
-  double drift_threshold = 0.20;
-  /// Measurements older than this are considered stale.
-  SimDuration stale_age = Seconds(120);
-  /// Stale configurations reevaluated per ECL interval while multiplexed
-  /// adaptation is active.
-  int evals_per_interval = 6;
-};
+/// Relative deviation between a fresh online measurement and the stored
+/// configuration data that indicates a workload change (drift) and
+/// triggers multiplexed reevaluation of the whole profile (paper Section
+/// 5.1).
+inline constexpr double kDriftThreshold = 0.20;
+/// Measurements older than this are stale and get reevaluated.
+inline constexpr SimDuration kStaleAge = Seconds(120);
+/// Stale configurations reevaluated per ECL interval while multiplexed
+/// adaptation is active (further bounded by the socket ECL's evaluation
+/// budget).
+inline constexpr int kEvalsPerInterval = 6;
 
 /// Maintains the energy profile at runtime (paper Section 5.1):
 ///
@@ -34,9 +32,6 @@ struct ProfileMaintenanceParams {
 ///    borrowing the interval time the RTI controller would have idled.
 class ProfileMaintenance {
  public:
-  explicit ProfileMaintenance(const ProfileMaintenanceParams& params)
-      : params_(params) {}
-
   struct OnlineOutcome {
     bool recorded = false;
     bool drift_detected = false;
@@ -75,14 +70,14 @@ class ProfileMaintenance {
 
   /// Learned adaptation (ROADMAP item 3): after FlagDrift invalidated the
   /// profile, seeds every configuration whose prediction for `features`
-  /// has ignorance <= `threshold` — a recurring work profile then
-  /// re-converges after the handful of high-ignorance measurements
-  /// instead of a full ~|profile| multiplexed sweep. The skyline /
+  /// has ignorance <= kPredictorIgnoranceThreshold — a recurring work
+  /// profile then re-converges after the handful of high-ignorance
+  /// measurements instead of a full ~|profile| multiplexed sweep. The skyline /
   /// FindForDemand / zone logic runs unchanged on the seeded values.
   SeedOutcome SeedFromPredictions(profile::EnergyProfile* profile,
                                   const ProfilePredictor& predictor,
                                   const profile::FeatureVector& features,
-                                  double threshold, SimTime now);
+                                  SimTime now);
 
   int64_t online_updates() const { return online_updates_; }
   int64_t multiplexed_evals() const { return multiplexed_evals_; }
@@ -100,16 +95,17 @@ class ProfileMaintenance {
   /// Mean ignorance of the last seeding pass (1 before any pass).
   double last_mean_ignorance() const { return last_mean_ignorance_; }
 
-  const ProfileMaintenanceParams& params() const { return params_; }
-  /// Toggles the strategies at runtime (experiments prime the profile with
-  /// adaptation enabled, then freeze it for the "ECL static" arm).
+  /// Toggles the strategies at runtime; both start enabled (experiments
+  /// prime the profile with adaptation on, then freeze it for the "ECL
+  /// static" arm).
   void SetEnabled(bool online, bool multiplexed) {
-    params_.enable_online = online;
-    params_.enable_multiplexed = multiplexed;
+    online_ = online;
+    multiplexed_ = multiplexed;
   }
 
  private:
-  ProfileMaintenanceParams params_;
+  bool online_ = true;
+  bool multiplexed_ = true;
   int64_t online_updates_ = 0;
   int64_t multiplexed_evals_ = 0;
   int64_t discarded_measurements_ = 0;

@@ -10,11 +10,9 @@
 
 namespace ecldb::ecl {
 
-ProfilePredictor::ProfilePredictor(int num_configs,
-                                   const ProfilePredictorParams& params)
-    : params_(params), num_configs_(num_configs) {
+ProfilePredictor::ProfilePredictor(int num_configs)
+    : num_configs_(num_configs) {
   ECLDB_CHECK(num_configs >= 1);
-  ECLDB_CHECK(params.k >= 1 && params.max_entries_per_config >= 1);
   cache_.resize(static_cast<size_t>(num_configs));
 }
 
@@ -24,7 +22,7 @@ void ProfilePredictor::Observe(int config_index,
   if (!features.valid || config_index <= 0 || config_index >= num_configs_) {
     return;
   }
-  if (features.v[2] < params_.min_utilization) return;
+  if (features.v[2] < kPredictorMinUtilization) return;
   ++observed_total_;
   std::vector<Observation>& bucket = cache_[static_cast<size_t>(config_index)];
 
@@ -32,7 +30,7 @@ void ProfilePredictor::Observe(int config_index,
   // its neighborhood — replace it instead of accumulating history that a
   // drifted workload has invalidated.
   int nearest = -1;
-  double nearest_d = params_.merge_radius;
+  double nearest_d = kPredictorMergeRadius;
   for (size_t i = 0; i < bucket.size(); ++i) {
     const double d = FeatureDistance(bucket[i].features, features);
     if (d <= nearest_d) {
@@ -44,7 +42,7 @@ void ProfilePredictor::Observe(int config_index,
     bucket[static_cast<size_t>(nearest)] = {features, power_w, perf_score, at};
     return;
   }
-  if (static_cast<int>(bucket.size()) >= params_.max_entries_per_config) {
+  if (static_cast<int>(bucket.size()) >= kPredictorMaxEntriesPerConfig) {
     // Bounded cache: evict the oldest observation (ties by position).
     size_t oldest = 0;
     for (size_t i = 1; i < bucket.size(); ++i) {
@@ -75,7 +73,7 @@ ProfilePredictor::Prediction ProfilePredictor::Predict(
     dist.emplace_back(FeatureDistance(bucket[i].features, features), i);
   }
   std::sort(dist.begin(), dist.end());
-  const size_t k = std::min(dist.size(), static_cast<size_t>(params_.k));
+  const size_t k = std::min(dist.size(), static_cast<size_t>(kPredictorK));
 
   double wsum = 0.0, power = 0.0, perf = 0.0, dsum = 0.0;
   for (size_t i = 0; i < k; ++i) {
@@ -98,10 +96,10 @@ ProfilePredictor::Prediction ProfilePredictor::Predict(
   // neighbor far) stays ignorant.
   const double mean_d = dsum / wsum;
   const double missing =
-      static_cast<double>(params_.k - static_cast<int>(k)) /
-      static_cast<double>(params_.k);
+      static_cast<double>(kPredictorK - static_cast<int>(k)) /
+      static_cast<double>(kPredictorK);
   p.ignorance = std::clamp(
-      mean_d / params_.distance_scale + params_.count_penalty * missing, 0.0,
+      mean_d / kPredictorDistanceScale + kPredictorCountPenalty * missing, 0.0,
       1.0);
   return p;
 }

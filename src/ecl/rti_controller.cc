@@ -10,8 +10,7 @@ RtiController::Plan RtiController::MakePlan(
     double pressure) const {
   Plan plan;
   plan.config_index = selected_index;
-  if (!params_.enabled || selected_index < 0 ||
-      pressure >= params_.disable_pressure) {
+  if (selected_index < 0 || pressure >= kRtiDisablePressure) {
     return plan;
   }
   // RTI applies in the under-utilization zone: run the most
@@ -25,7 +24,7 @@ RtiController::Plan RtiController::MakePlan(
   if (optimal_perf <= 0.0) return plan;
 
   const double duty = std::clamp(demand / optimal_perf, 0.0, 1.0);
-  if (duty >= params_.max_duty) {
+  if (duty >= kRtiMaxDuty) {
     plan.config_index = optimal;
     return plan;
   }
@@ -34,10 +33,10 @@ RtiController::Plan RtiController::MakePlan(
   plan.duty = duty;
   // More cycles under pressure: shorter idle stints keep latencies low at
   // the cost of more transitions.
-  const double pressure_scale = pressure / params_.disable_pressure;
+  const double pressure_scale = pressure / kRtiDisablePressure;
   plan.cycles = static_cast<int>(std::lround(
-      params_.min_cycles_per_interval +
-      (params_.max_cycles_per_interval - params_.min_cycles_per_interval) *
+      kRtiMinCyclesPerInterval +
+      (params_.max_cycles_per_interval - kRtiMinCyclesPerInterval) *
           std::clamp(pressure_scale, 0.0, 1.0)));
   plan.cycles = std::clamp(plan.cycles, 1, params_.max_cycles_per_interval);
   return plan;

@@ -19,14 +19,11 @@ SocketEcl::SocketEcl(sim::Simulator* simulator, hwsim::Machine* machine,
       system_(system),
       util_source_(std::move(util_source)),
       params_(params),
-      util_controller_(params.utilization),
-      rti_controller_(params.rti),
-      maintenance_(params.maintenance) {
+      rti_controller_(params.rti) {
   ECLDB_CHECK(simulator != nullptr && machine != nullptr);
   ECLDB_CHECK(util_source_ != nullptr);
   if (params_.predictor.enabled) {
-    predictor_ =
-        std::make_unique<ProfilePredictor>(profile_.size(), params_.predictor);
+    predictor_ = std::make_unique<ProfilePredictor>(profile_.size());
     // Every profile measurement — online, multiplexed, or warm-start
     // deserialization — trains the learn-cache, tagged with the feature
     // snapshot of the last loaded interval.
@@ -111,8 +108,7 @@ void SocketEcl::RunPendingSeed(SimTime now) {
   pending_seed_ = false;
   record_hook_muted_ = true;
   const ProfileMaintenance::SeedOutcome out = maintenance_.SeedFromPredictions(
-      &profile_, *predictor_, last_features_,
-      params_.predictor.ignorance_threshold, now);
+      &profile_, *predictor_, last_features_, now);
   record_hook_muted_ = false;
   if (params_.telemetry != nullptr && (out.seeded > 0 || out.left_stale > 0)) {
     params_.telemetry->trace().Instant(
@@ -138,16 +134,16 @@ void SocketEcl::ScheduleEvaluation(SimTime at, int index, int64_t gen) {
   // Shared measurement state per evaluation, captured by both events.
   auto e0 = std::make_shared<uint64_t>(0);
   auto i0 = std::make_shared<uint64_t>(0);
-  simulator_->Schedule(at + params_.apply_settle, [this, e0, i0, gen] {
+  simulator_->Schedule(at + kApplySettle, [this, e0, i0, gen] {
     if (gen != generation_) return;
     *e0 = ReadSocketEnergyUj();
     *i0 = machine_->ReadSocketInstructions(socket_);
   });
   simulator_->Schedule(
-      at + params_.apply_settle + params_.measure_time,
+      at + kApplySettle + kMeasureTime,
       [this, e0, i0, index, gen] {
         if (gen != generation_) return;
-        const double seconds = ToSeconds(params_.measure_time);
+        const double seconds = ToSeconds(kMeasureTime);
         const double power = static_cast<double>(static_cast<int64_t>(
                                  ReadSocketEnergyUj() - *e0)) *
                              1e-6 / seconds;
@@ -280,7 +276,7 @@ void SocketEcl::Tick() {
     fin.rti_duty = last_plan_.use_rti ? last_plan_.duty : 1.0;
     fin.utilization = utilization;
     const profile::FeatureVector features = profile::ExtractFeatures(fin);
-    if (features.valid && features.v[2] >= params_.predictor.min_utilization) {
+    if (features.valid && features.v[2] >= kPredictorMinUtilization) {
       last_features_ = features;
     }
   }
@@ -300,7 +296,7 @@ void SocketEcl::Tick() {
   if (interval_clean_ && utilization >= 0.75 && interval_config_ > 0 &&
       now > interval_t0_) {
     const double seconds = ToSeconds(now - interval_t0_);
-    if (seconds >= ToSeconds(params_.measure_time)) {
+    if (seconds >= ToSeconds(kMeasureTime)) {
       const double power = static_cast<double>(static_cast<int64_t>(
                                ReadSocketEnergyUj() - interval_e0_uj_)) *
                            1e-6 / seconds;
@@ -317,7 +313,7 @@ void SocketEcl::Tick() {
   // accumulated counters measure the applied configuration under
   // (near-)full load — the "simulated high load" of Section 5.1.
   if (last_plan_.use_rti && interval_config_ > 0 && utilization >= 0.75 &&
-      rti_active_time_ >= params_.measure_time) {
+      rti_active_time_ >= kMeasureTime) {
     const double active_s = ToSeconds(rti_active_time_);
     const ProfileMaintenance::OnlineOutcome outcome = maintenance_.RecordOnline(
         &profile_, interval_config_, rti_active_energy_uj_ * 1e-6 / active_s,
@@ -397,9 +393,9 @@ void SocketEcl::Tick() {
 
   // ---- Multiplexed adaptation ---------------------------------------------
   std::vector<int> evals = maintenance_.PickForReevaluation(profile_, now);
-  const SimDuration eval_each = params_.apply_settle + params_.measure_time;
+  const SimDuration eval_each = kApplySettle + kMeasureTime;
   const SimDuration eval_budget = static_cast<SimDuration>(
-      params_.max_eval_fraction * static_cast<double>(params_.interval));
+      kMaxEvalFraction * static_cast<double>(params_.interval));
   while (!evals.empty() &&
          static_cast<SimDuration>(evals.size()) * eval_each > eval_budget) {
     evals.pop_back();

@@ -19,27 +19,27 @@
 
 namespace ecldb::ecl {
 
+/// Counter measurement window for profile (re)evaluation; found by the
+/// meta calibration (paper Fig. 12: 100 ms).
+inline constexpr SimDuration kMeasureTime = Millis(100);
+/// Settle time after applying a configuration before measuring (Fig. 12:
+/// a configuration applies within 1 ms).
+inline constexpr SimDuration kApplySettle = Millis(1);
+/// Fraction of an interval that may be spent on multiplexed reevaluation;
+/// the rest runs the planned configuration.
+inline constexpr double kMaxEvalFraction = 0.75;
+
 struct SocketEclParams {
   /// Base interval of the socket-level ECL (1 Hz in the paper; the
   /// evaluation also uses 2 Hz = 500 ms).
   SimDuration interval = Seconds(1);
-  UtilizationControllerParams utilization;
   RtiControllerParams rti;
-  ProfileMaintenanceParams maintenance;
   /// Learned profile predictor (off by default): on drift, the profile is
   /// seeded from kNN predictions over work-profile features and the
   /// multiplexed evaluator only measures configurations whose ignorance
   /// exceeds the threshold — a recurring workload re-converges after a
   /// handful of confirming measurements instead of a full sweep.
   ProfilePredictorParams predictor;
-  /// Counter measurement window for profile (re)evaluation; found by the
-  /// meta calibration (paper Fig. 12: 100 ms).
-  SimDuration measure_time = Millis(100);
-  /// Settle time after applying a configuration before measuring (1 ms).
-  SimDuration apply_settle = Millis(1);
-  /// Fraction of an interval that may be spent on multiplexed
-  /// reevaluation.
-  double max_eval_fraction = 0.75;
   /// Excludes the idle-polling instructions of workless active threads
   /// from the measured performance level. The paper's currency counts all
   /// instructions retired, so a consolidated receiver socket running many
@@ -77,8 +77,6 @@ class SocketEcl {
   ProfileMaintenance& maintenance() { return maintenance_; }
   /// Non-null iff the learned predictor was enabled in the params.
   ProfilePredictor* predictor() { return predictor_.get(); }
-  /// Work-profile feature snapshot of the last loaded interval.
-  const profile::FeatureVector& last_features() const { return last_features_; }
 
   /// Relative load in [0, 1]: the processed performance level over the
   /// profile's peak score (0 while the profile has no peak). The
@@ -89,7 +87,6 @@ class SocketEcl {
     return peak > 0.0 ? perf_level_ / peak : 0.0;
   }
   int current_config_index() const { return current_index_; }
-  const RtiController::Plan& last_plan() const { return last_plan_; }
   double last_utilization() const { return last_utilization_; }
   /// Measured performance level (instr/s) of the last finished interval,
   /// after the optional poll-instruction exclusion.

@@ -30,9 +30,9 @@ void SystemEcl::Update() {
   // Demand the entrance refused never shows up in the latency window, so
   // the shed fraction contributes a pressure floor in every branch.
   const double shed_floor =
-      shed_signal_ ? std::clamp(params_.shed_pressure_weight * shed_signal_(),
-                                0.0, 1.0)
-                   : 0.0;
+      shed_signal_
+          ? std::clamp(kShedPressureWeight * shed_signal_(), 0.0, 1.0)
+          : 0.0;
   if (latency_->WindowEmpty()) {
     pressure_ = shed_floor;
     ttv_s_ = 1e18;
@@ -50,11 +50,10 @@ void SystemEcl::Update() {
   ttv_s_ = trend > 1e-9 ? (limit - mean) / trend : 1e18;
 
   const double trend_pressure =
-      std::clamp(1.0 - ttv_s_ / params_.pressure_horizon_s, 0.0, 1.0);
+      std::clamp(1.0 - ttv_s_ / kPressureHorizonS, 0.0, 1.0);
   const double proximity = mean / limit;
   const double proximity_pressure = std::clamp(
-      (proximity - params_.proximity_onset) / (1.0 - params_.proximity_onset),
-      0.0, 1.0);
+      (proximity - kProximityOnset) / (1.0 - kProximityOnset), 0.0, 1.0);
   pressure_ = std::max({trend_pressure, proximity_pressure, shed_floor});
 }
 

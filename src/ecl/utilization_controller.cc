@@ -24,9 +24,8 @@ double UtilizationController::Update(double utilization, double measured_rate,
   floor_level *= 0.05;
 
   double demand;
-  if (utilization >= params_.full_threshold) {
-    const double factor =
-        params_.discovery_factor * (1.0 + params_.pressure_boost * pressure);
+  if (utilization >= kFullUtilization) {
+    const double factor = kDiscoveryFactor * (1.0 + kPressureBoost * pressure);
     const double base =
         std::max({current_level, measured_rate, floor_level});
     demand = base * factor;
@@ -35,8 +34,8 @@ double UtilizationController::Update(double utilization, double measured_rate,
     // performance level equals the true demand below saturation), padded
     // with headroom and damped on the way down so a one-interval dip does
     // not throw capacity away.
-    const double observed = measured_rate * params_.headroom;
-    demand = std::max(observed, current_level * params_.max_decrease);
+    const double observed = measured_rate * kDemandHeadroom;
+    demand = std::max(observed, current_level * kMaxDecrease);
   }
   // Latency pressure keeps a floor under the performance level: while the
   // limit is threatened, the socket is "more eager to increase the

@@ -5,23 +5,21 @@
 
 namespace ecldb::ecl {
 
-struct UtilizationControllerParams {
-  /// Utilization at or above which the controller considers the socket
-  /// fully utilized (the true demand is then unobservable).
-  double full_threshold = 0.95;
-  /// Base factor of the exponential discovery strategy at full
-  /// utilization.
-  double discovery_factor = 2.0;
-  /// Additional aggressiveness at maximum latency pressure: the factor
-  /// grows to discovery_factor * (1 + pressure_boost * pressure).
-  double pressure_boost = 3.0;
-  /// Headroom multiplied onto the observed demand so transient bursts do
-  /// not immediately build backlog.
-  double headroom = 1.25;
-  /// Largest per-tick reduction of the performance level (0.5 = at most
-  /// halve), damping down-up oscillation of the reactive loop.
-  double max_decrease = 0.5;
-};
+/// Utilization at or above which the socket counts as fully utilized:
+/// the true demand is then unobservable (paper Section 5.1).
+inline constexpr double kFullUtilization = 0.95;
+/// Base factor of the exponential discovery at full utilization.
+inline constexpr double kDiscoveryFactor = 2.0;
+/// Extra aggressiveness at maximum latency pressure: the discovery factor
+/// grows to kDiscoveryFactor * (1 + kPressureBoost * pressure), the
+/// "more eager to increase the performance level" of Section 5.2.
+inline constexpr double kPressureBoost = 3.0;
+/// Headroom multiplied onto the observed demand, so a transient burst
+/// does not build backlog at once.
+inline constexpr double kDemandHeadroom = 1.25;
+/// Largest per-tick reduction of the performance level (0.5 = at most
+/// halve), damping down-up oscillation of the reactive loop.
+inline constexpr double kMaxDecrease = 0.5;
 
 /// The paper's utilization controller (Section 5.1): determines the
 /// current performance-level demand of the DBMS on this socket.
@@ -35,9 +33,6 @@ struct UtilizationControllerParams {
 /// faster when the system-level ECL reports latency pressure.
 class UtilizationController {
  public:
-  explicit UtilizationController(const UtilizationControllerParams& params)
-      : params_(params) {}
-
   /// Computes the new performance-level demand.
   ///
   /// `utilization` in [0,1] is the worker-busy fraction (saturation
@@ -49,11 +44,6 @@ class UtilizationController {
   /// in [0,1] comes from the system-level ECL.
   double Update(double utilization, double measured_rate, double current_level,
                 double pressure, const profile::EnergyProfile& profile) const;
-
-  const UtilizationControllerParams& params() const { return params_; }
-
- private:
-  UtilizationControllerParams params_;
 };
 
 }  // namespace ecldb::ecl

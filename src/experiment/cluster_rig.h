@@ -52,9 +52,7 @@ class ClusterRig {
   ecl::EnergyControlLoop& node_ecl(NodeId n) {
     return *node_ecls_[static_cast<size_t>(n)];
   }
-  ecl::ClusterEcl* cluster_ecl() { return cluster_ecl_.get(); }
   telemetry::Telemetry* telemetry() { return tel_; }
-  const ClusterRunOptions& options() const { return options_; }
 
  private:
   ClusterRunOptions options_;

@@ -1,7 +1,6 @@
 #include "experiment/drift_trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -65,7 +64,6 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
   engine.scheduler().SetSyntheticLoad(&indexed.profile());
   sim.RunFor(params.prime);
   engine.scheduler().SetSyntheticLoad(nullptr);
-  loop.SetAdaptation(params.online, params.multiplexed);
 
   if (!params.prime_learn_cache.empty()) {
     for (SocketId s = 0; s < loop.num_sockets(); ++s) {
@@ -80,7 +78,6 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
   }
 
   ecl::SocketEcl& socket0 = loop.socket(0);
-  const SimDuration stale_age = socket0.maintenance().params().stale_age;
   const int phase_secs = static_cast<int>(ToSeconds(params.phase_len));
   const int tail_secs = static_cast<int>(ToSeconds(params.tail));
 
@@ -118,7 +115,6 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
 
     bool drift_seen = false;
     double tail_e0 = phase_e0;
-    const bool debug = std::getenv("ECLDB_DRIFT_DEBUG") != nullptr;
     for (int t = 1; t <= phase_secs; ++t) {
       if (t == phase_secs - tail_secs + 1) {
         tail_e0 = machine.TotalEnergyJoules();
@@ -134,19 +130,7 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
       // detects the switch); adaptation is over once multiplexed
       // reevaluation drained what stayed stale.
       const int stale = static_cast<int>(
-          socket0.profile().StaleConfigs(sim.now(), stale_age).size());
-      if (debug) {
-        std::fprintf(stderr,
-                     "[drift_trace] ph%d t=%3d stale=%3d cfg=%3d util=%.2f "
-                     "evals=%lld seeded=%lld feat=%s\n",
-                     phase, t, stale, socket0.current_config_index(),
-                     socket0.last_utilization(),
-                     static_cast<long long>(
-                         socket0.maintenance().multiplexed_evals()),
-                     static_cast<long long>(
-                         socket0.maintenance().predictor_seeded_configs()),
-                     socket0.last_features().ToString().c_str());
-      }
+          socket0.profile().StaleConfigs(sim.now(), ecl::kStaleAge).size());
       if (socket0.maintenance().drift_flags() > drifts0) drift_seen = true;
       if (drift_seen && ph.adapt_s < 0.0 && stale == 0) {
         ph.adapt_s = static_cast<double>(t);

@@ -25,10 +25,6 @@
 namespace ecldb::experiment {
 
 struct DriftTraceParams {
-  /// Profile maintenance of the arm (Fig. 15 naming): online measurement
-  /// and multiplexed reevaluation.
-  bool online = true;
-  bool multiplexed = true;
   /// Learned predictor config; `predictor.enabled = false` reproduces the
   /// plain multiplexed arm.
   ecl::ProfilePredictorParams predictor;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace ecldb::profile {
 namespace {
@@ -33,13 +32,6 @@ const char* FeatureDimName(int i) {
   static const char* kNames[kFeatureDims] = {"ipc_proxy", "bytes_per_instr",
                                              "utilization", "rti_duty"};
   return i >= 0 && i < kFeatureDims ? kNames[i] : "?";
-}
-
-std::string FeatureVector::ToString() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "[%.3f %.3f %.3f %.3f]%s", v[0], v[1], v[2],
-                v[3], valid ? "" : " (invalid)");
-  return buf;
 }
 
 FeatureVector ExtractFeatures(const FeatureInputs& in) {

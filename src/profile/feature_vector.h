@@ -2,7 +2,6 @@
 #define ECLDB_PROFILE_FEATURE_VECTOR_H_
 
 #include <array>
-#include <string>
 
 #include "common/types.h"
 
@@ -32,8 +31,6 @@ inline constexpr int kFeatureDims = 4;
 struct FeatureVector {
   std::array<double, kFeatureDims> v{};
   bool valid = false;
-
-  std::string ToString() const;
 };
 
 /// Name of feature dimension `i` (diagnostics and serialization docs).

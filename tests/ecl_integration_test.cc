@@ -141,10 +141,8 @@ TEST_F(EclIntegrationTest, DisablingAdaptationHurtsAfterWorkloadChange) {
     ps.indexed = false;
     workload::KvWorkload scan(&engine, ps);
 
-    ecl::EclParams params;
-    params.socket.maintenance.enable_online = maintain;
-    params.socket.maintenance.enable_multiplexed = maintain;
-    ecl::EnergyControlLoop loop(&sim, &engine, params);
+    ecl::EnergyControlLoop loop(&sim, &engine, ecl::EclParams{});
+    loop.SetAdaptation(maintain, maintain);
     loop.Start();
     // Prime on the indexed workload.
     engine.scheduler().SetSyntheticLoad(&indexed.profile());

@@ -75,23 +75,19 @@ TEST(FeatureVectorTest, SignatureRoughlyConfigInvariant) {
 }
 
 TEST(ProfilePredictorTest, PredictsObservedPointExactly) {
-  ProfilePredictorParams params;
-  params.enabled = true;
-  ProfilePredictor pred(10, params);
+  ProfilePredictor pred(10);
   const profile::FeatureVector f = Feat(2e9, 1e9);
   pred.Observe(3, f, 80.0, 2.5e9, Seconds(1));
   const ProfilePredictor::Prediction p = pred.Predict(3, f);
   EXPECT_DOUBLE_EQ(p.power_w, 80.0);
   EXPECT_DOUBLE_EQ(p.perf_score, 2.5e9);
   // Exact hit, but a thin neighborhood (1 of k=3) keeps some ignorance.
-  EXPECT_LT(p.ignorance, params.ignorance_threshold);
+  EXPECT_LT(p.ignorance, kPredictorIgnoranceThreshold);
   EXPECT_GT(p.ignorance, 0.0);
 }
 
 TEST(ProfilePredictorTest, IgnoranceReflectsEvidence) {
-  ProfilePredictorParams params;
-  params.enabled = true;
-  ProfilePredictor pred(10, params);
+  ProfilePredictor pred(10);
   const profile::FeatureVector near = Feat(2e9, 1e9);
   // Nothing cached: full ignorance, no usable prediction.
   EXPECT_DOUBLE_EQ(pred.Predict(3, near).ignorance, 1.0);
@@ -103,15 +99,13 @@ TEST(ProfilePredictorTest, IgnoranceReflectsEvidence) {
   const double extrapolating =
       pred.Predict(3, Feat(30e9, 0.1e9, 4, 2.6)).ignorance;
   EXPECT_LT(confident, extrapolating);
-  EXPECT_LE(confident, params.ignorance_threshold);
+  EXPECT_LE(confident, kPredictorIgnoranceThreshold);
   // Another configuration's bucket is still empty.
   EXPECT_DOUBLE_EQ(pred.Predict(4, near).ignorance, 1.0);
 }
 
 TEST(ProfilePredictorTest, MergesNearDuplicates) {
-  ProfilePredictorParams params;
-  params.enabled = true;
-  ProfilePredictor pred(10, params);
+  ProfilePredictor pred(10);
   const profile::FeatureVector f = Feat(2e9, 1e9);
   pred.Observe(3, f, 80.0, 2.5e9, Seconds(1));
   // Same neighborhood, newer measurement: replaces, does not grow.
@@ -123,29 +117,34 @@ TEST(ProfilePredictorTest, MergesNearDuplicates) {
 }
 
 TEST(ProfilePredictorTest, EvictsOldestWhenBucketFull) {
-  ProfilePredictorParams params;
-  params.enabled = true;
-  params.max_entries_per_config = 4;
-  params.merge_radius = 1e-6;  // force distinct entries
-  ProfilePredictor pred(10, params);
-  for (int i = 0; i < 6; ++i) {
-    pred.Observe(3, Feat((1.0 + i) * 1e9, 1e9), 50.0 + i, 1e9,
-                 Seconds(i + 1));
+  ProfilePredictor pred(10);
+  // Two more observations than a bucket holds, spaced 0.08 apart on the
+  // memory-boundedness dimension (v = b / (1 + b) for b bytes per
+  // instruction), wider than the merge radius, so none merges.
+  const int n = kPredictorMaxEntriesPerConfig + 2;
+  profile::FeatureVector prev;
+  for (int i = 0; i < n; ++i) {
+    const double v = 0.1 + 0.08 * i;
+    const profile::FeatureVector f = Feat(1e9, 1e9 * v / (1.0 - v));
+    if (i > 0) {
+      EXPECT_GT(FeatureDistance(prev, f), kPredictorMergeRadius);
+    }
+    pred.Observe(3, f, 50.0 + i, 1e9, Seconds(i + 1));
+    prev = f;
   }
-  ASSERT_EQ(pred.entries(3).size(), 4u);
+  ASSERT_EQ(pred.entries(3).size(),
+            static_cast<size_t>(kPredictorMaxEntriesPerConfig));
   SimTime oldest = Seconds(1000);
   for (const ProfilePredictor::Observation& o : pred.entries(3)) {
     oldest = std::min(oldest, o.at);
   }
   // Observations from t=1s and t=2s were evicted.
   EXPECT_EQ(oldest, Seconds(3));
-  EXPECT_EQ(pred.size(), 4);
+  EXPECT_EQ(pred.size(), kPredictorMaxEntriesPerConfig);
 }
 
 TEST(ProfilePredictorTest, IgnoresIdleAndInvalidObservations) {
-  ProfilePredictorParams params;
-  params.enabled = true;
-  ProfilePredictor pred(10, params);
+  ProfilePredictor pred(10);
   pred.Observe(3, profile::FeatureVector{}, 80.0, 2.5e9, Seconds(1));
   pred.Observe(0, Feat(2e9, 1e9), 80.0, 2.5e9, Seconds(1));  // idle index
   pred.Observe(99, Feat(2e9, 1e9), 80.0, 2.5e9, Seconds(1));
@@ -173,13 +172,11 @@ TEST(LearnCacheFingerprintTest, RejectsCachesFromDifferentNodeShapes) {
   EXPECT_EQ(profile::MachineFingerprint(brawny),
             profile::MachineFingerprint(recalibrated));
 
-  ProfilePredictorParams pp;
-  pp.enabled = true;
-  ProfilePredictor trained(profile.size(), pp);
+  ProfilePredictor trained(profile.size());
   trained.Observe(3, Feat(2e9, 1e9), 80.0, 2.5e9, Seconds(1));
   const std::string cache = SerializeLearnCache(trained, fp_brawny);
 
-  ProfilePredictor fresh(profile.size(), pp);
+  ProfilePredictor fresh(profile.size());
   EXPECT_FALSE(DeserializeLearnCache(cache, fp_wimpy, &fresh));
   EXPECT_EQ(fresh.size(), 0);  // untouched on rejection
   EXPECT_TRUE(DeserializeLearnCache(cache, fp_brawny, &fresh));
@@ -188,9 +185,7 @@ TEST(LearnCacheFingerprintTest, RejectsCachesFromDifferentNodeShapes) {
 
 TEST(SeedFromPredictionsTest, SeedsConfidentConfigsAndSkipsUnknown) {
   profile::EnergyProfile profile = MakeProfile();
-  ProfilePredictorParams pp;
-  pp.enabled = true;
-  ProfilePredictor pred(profile.size(), pp);
+  ProfilePredictor pred(profile.size());
   const profile::FeatureVector f = Feat(2e9, 1e9);
   // Train every config except the last 10 (the "unknown" tail).
   const int untrained_from = profile.size() - 10;
@@ -200,9 +195,9 @@ TEST(SeedFromPredictionsTest, SeedsConfidentConfigsAndSkipsUnknown) {
     }
   }
   profile.InvalidateAll();
-  ProfileMaintenance maint{ProfileMaintenanceParams{}};
-  const ProfileMaintenance::SeedOutcome out = maint.SeedFromPredictions(
-      &profile, pred, f, pp.ignorance_threshold, Seconds(100));
+  ProfileMaintenance maint;
+  const ProfileMaintenance::SeedOutcome out =
+      maint.SeedFromPredictions(&profile, pred, f, Seconds(100));
   EXPECT_EQ(out.seeded, untrained_from - 1);
   EXPECT_EQ(out.left_stale, 10);
   EXPECT_EQ(maint.predictor_seeded_configs(), untrained_from - 1);
@@ -220,14 +215,11 @@ TEST(SeedFromPredictionsTest, SeedsConfidentConfigsAndSkipsUnknown) {
 
 TEST(SeedFromPredictionsTest, NoOpOnInvalidFeatures) {
   profile::EnergyProfile profile = MakeProfile();
-  ProfilePredictorParams pp;
-  pp.enabled = true;
-  ProfilePredictor pred(profile.size(), pp);
+  ProfilePredictor pred(profile.size());
   profile.InvalidateAll();
-  ProfileMaintenance maint{ProfileMaintenanceParams{}};
+  ProfileMaintenance maint;
   const ProfileMaintenance::SeedOutcome out = maint.SeedFromPredictions(
-      &profile, pred, profile::FeatureVector{}, pp.ignorance_threshold,
-      Seconds(1));
+      &profile, pred, profile::FeatureVector{}, Seconds(1));
   EXPECT_EQ(out.seeded, 0);
   EXPECT_EQ(out.left_stale, 0);
   EXPECT_EQ(profile.measured_count(), 0);
@@ -236,14 +228,12 @@ TEST(SeedFromPredictionsTest, NoOpOnInvalidFeatures) {
 TEST(PickForReevaluationTest, NoStarvationUnderContinuousDrift) {
   // Under continuous drift the stale set never drains; the round-robin
   // cursor must still visit every stale configuration within
-  // ceil(n / evals_per_interval) intervals — no index may starve.
+  // ceil(n / kEvalsPerInterval) intervals — no index may starve.
   profile::EnergyProfile profile = MakeProfile();
-  ProfileMaintenanceParams params;
-  ProfileMaintenance maint{params};
+  ProfileMaintenance maint;
   maint.FlagDrift(&profile);
   const int n = profile.size() - 1;
-  const int rounds = (n + params.evals_per_interval - 1) /
-                     params.evals_per_interval;
+  const int rounds = (n + kEvalsPerInterval - 1) / kEvalsPerInterval;
   std::set<int> picked;
   for (int round = 0; round < rounds; ++round) {
     // Re-flagging every interval models a workload that keeps drifting; it
@@ -251,7 +241,7 @@ TEST(PickForReevaluationTest, NoStarvationUnderContinuousDrift) {
     maint.FlagDrift(&profile);
     const std::vector<int> picks =
         maint.PickForReevaluation(profile, Seconds(round + 1));
-    EXPECT_LE(static_cast<int>(picks.size()), params.evals_per_interval);
+    EXPECT_LE(static_cast<int>(picks.size()), kEvalsPerInterval);
     picked.insert(picks.begin(), picks.end());
   }
   EXPECT_EQ(static_cast<int>(picked.size()), n);
@@ -259,13 +249,12 @@ TEST(PickForReevaluationTest, NoStarvationUnderContinuousDrift) {
 
 TEST(PickForReevaluationTest, DrainsStaleSetWhenMeasurementsLand) {
   profile::EnergyProfile profile = MakeProfile();
-  ProfileMaintenanceParams params;
-  ProfileMaintenance maint{params};
+  ProfileMaintenance maint;
   maint.FlagDrift(&profile);
   const int n = profile.size() - 1;
   int rounds = 0;
   SimTime now = Seconds(1);
-  while (!profile.StaleConfigs(now, params.stale_age).empty()) {
+  while (!profile.StaleConfigs(now, kStaleAge).empty()) {
     ASSERT_LT(rounds, 2 * n) << "stale set never drained";
     for (int idx : maint.PickForReevaluation(profile, now)) {
       profile.Record(idx, 50.0, 1e9, now);
@@ -273,8 +262,7 @@ TEST(PickForReevaluationTest, DrainsStaleSetWhenMeasurementsLand) {
     ++rounds;
     now += Seconds(1);
   }
-  EXPECT_EQ(rounds, (n + params.evals_per_interval - 1) /
-                        params.evals_per_interval);
+  EXPECT_EQ(rounds, (n + kEvalsPerInterval - 1) / kEvalsPerInterval);
 }
 
 // ---- End-to-end: learned vs exhaustive rediscovery ------------------------

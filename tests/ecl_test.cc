@@ -33,39 +33,49 @@ profile::EnergyProfile MeasuredProfile() {
   return profile::EnergyProfile(std::move(configs));
 }
 
+/// A measured profile wider than one reevaluation batch: 10 configs.
+profile::EnergyProfile WideMeasuredProfile() {
+  const Topology topo = Topology::HaswellEp2S();
+  std::vector<profile::Configuration> configs;
+  configs.push_back({hwsim::SocketConfig::Idle(topo), 0, 0, -1});
+  for (int i = 0; i < 10; ++i) {
+    profile::Configuration c;
+    c.hw = hwsim::SocketConfig::FirstThreads(topo, (i + 1) * 2, 2.0, 2.0);
+    c.RecordMeasurement(5.0 + 4.0 * i, 10.0 + 5.0 * i, Seconds(1));
+    configs.push_back(std::move(c));
+  }
+  return profile::EnergyProfile(std::move(configs));
+}
+
 TEST(UtilizationControllerTest, Equation3BelowFullUtilization) {
-  UtilizationControllerParams p;
-  p.headroom = 1.0;
-  p.max_decrease = 0.0;
-  UtilizationController c(p);
+  const UtilizationController c;
   const auto profile = MeasuredProfile();
-  // new = utilization * old (Eq. 3).
-  EXPECT_NEAR(c.Update(0.5, 20.0, 40.0, 0.0, profile), 20.0, 1e-9);
-  EXPECT_NEAR(c.Update(0.8, 24.0, 30.0, 0.0, profile), 24.0, 1e-9);
+  // new = utilization * old (Eq. 3), in the measured currency: the
+  // processed level (0.5 * 40 = 20, 0.8 * 30 = 24) times the 1.25
+  // headroom. Neither result is below the damping floor (old * 0.5).
+  EXPECT_NEAR(c.Update(0.5, 20.0, 40.0, 0.0, profile), 25.0, 1e-9);
+  EXPECT_NEAR(c.Update(0.8, 24.0, 30.0, 0.0, profile), 30.0, 1e-9);
 }
 
 TEST(UtilizationControllerTest, HeadroomPadsDemand) {
-  UtilizationControllerParams p;
-  p.headroom = 1.4;
-  p.max_decrease = 0.0;
-  UtilizationController c(p);
+  const UtilizationController c;
   const auto profile = MeasuredProfile();
-  EXPECT_NEAR(c.Update(0.5, 20.0, 40.0, 0.0, profile), 28.0, 1e-9);
+  // 30 processed pads to 37.5, above both the floor (20) and Eq. 3 alone.
+  EXPECT_DOUBLE_EQ(kDemandHeadroom, 1.25);
+  EXPECT_NEAR(c.Update(0.75, 30.0, 40.0, 0.0, profile), 37.5, 1e-9);
 }
 
 TEST(UtilizationControllerTest, DampedDecrease) {
-  UtilizationControllerParams p;
-  p.headroom = 1.0;
-  p.max_decrease = 0.5;
-  UtilizationController c(p);
+  const UtilizationController c;
   const auto profile = MeasuredProfile();
-  // A sudden drop to 10 % utilization is limited to halving per tick.
+  // A sudden drop to 10 % utilization (4 processed, 5 with headroom) is
+  // limited to halving per tick.
+  EXPECT_DOUBLE_EQ(kMaxDecrease, 0.5);
   EXPECT_NEAR(c.Update(0.1, 4.0, 40.0, 0.0, profile), 20.0, 1e-9);
 }
 
 TEST(UtilizationControllerTest, ExponentialDiscoveryAtFullUtilization) {
-  UtilizationControllerParams p;
-  UtilizationController c(p);
+  const UtilizationController c;
   const auto profile = MeasuredProfile();
   const double next = c.Update(1.0, 20.0, 20.0, 0.0, profile);
   EXPECT_NEAR(next, 40.0, 1e-9);  // doubles
@@ -74,8 +84,7 @@ TEST(UtilizationControllerTest, ExponentialDiscoveryAtFullUtilization) {
 }
 
 TEST(UtilizationControllerTest, PressureAcceleratesDiscovery) {
-  UtilizationControllerParams p;
-  UtilizationController c(p);
+  const UtilizationController c;
   const auto profile = MeasuredProfile();
   const double relaxed = c.Update(1.0, 10.0, 10.0, 0.0, profile);
   const double pressured = c.Update(1.0, 10.0, 10.0, 1.0, profile);
@@ -84,15 +93,14 @@ TEST(UtilizationControllerTest, PressureAcceleratesDiscovery) {
 }
 
 TEST(UtilizationControllerTest, PressureFloorsDemand) {
-  UtilizationControllerParams p;
-  UtilizationController c(p);
+  const UtilizationController c;
   const auto profile = MeasuredProfile();
   // Low utilization but latency pressure 0.8: demand >= 0.8 * peak.
   EXPECT_GE(c.Update(0.1, 1.0, 10.0, 0.8, profile), 0.8 * 50.0 - 1e-9);
 }
 
 TEST(UtilizationControllerTest, EmptyProfileYieldsZero) {
-  UtilizationController c((UtilizationControllerParams()));
+  const UtilizationController c;
   const Topology topo = Topology::HaswellEp2S();
   std::vector<profile::Configuration> configs;
   configs.push_back({hwsim::SocketConfig::Idle(topo), 0, 0, -1});
@@ -124,7 +132,7 @@ TEST(RtiControllerTest, HighDutySkipsSwitching) {
   RtiController c((RtiControllerParams()));
   const auto profile = MeasuredProfile();
   const auto plan = c.MakePlan(19.5, profile.FindForDemand(19.5), profile, 0.0);
-  EXPECT_FALSE(plan.use_rti);  // duty would be 0.975 > max_duty
+  EXPECT_FALSE(plan.use_rti);  // duty would be 0.975 > kRtiMaxDuty
   EXPECT_EQ(plan.config_index, 2);
 }
 
@@ -144,16 +152,20 @@ TEST(RtiControllerTest, PressureRaisesSwitchingFrequency) {
   EXPECT_LE(tense.cycles, RtiControllerParams().max_cycles_per_interval);
 }
 
-TEST(RtiControllerTest, DisabledByParams) {
-  RtiControllerParams p;
-  p.enabled = false;
-  RtiController c(p);
+TEST(RtiControllerTest, DisabledAtTheDisablePressure) {
+  RtiController c((RtiControllerParams()));
   const auto profile = MeasuredProfile();
-  EXPECT_FALSE(c.MakePlan(5.0, 2, profile, 0.0).use_rti);
+  EXPECT_DOUBLE_EQ(kRtiDisablePressure, 0.7);
+  // Just below the limit RTI runs at the maximum switching frequency; at
+  // the limit it is off.
+  const auto below = c.MakePlan(5.0, 2, profile, 0.69);
+  EXPECT_TRUE(below.use_rti);
+  EXPECT_EQ(below.cycles, 49);  // 10 + 40 * 0.69 / 0.7, rounded
+  EXPECT_FALSE(c.MakePlan(5.0, 2, profile, 0.7).use_rti);
 }
 
 TEST(ProfileMaintenanceTest, OnlineRecordsAndDetectsDrift) {
-  ProfileMaintenance m((ProfileMaintenanceParams()));
+  ProfileMaintenance m;
   auto profile = MeasuredProfile();
   // Consistent measurement: no drift.
   auto out = m.RecordOnline(&profile, 2, 8.2, 19.8, Seconds(2));
@@ -167,9 +179,8 @@ TEST(ProfileMaintenanceTest, OnlineRecordsAndDetectsDrift) {
 }
 
 TEST(ProfileMaintenanceTest, DisabledOnlineDoesNothing) {
-  ProfileMaintenanceParams p;
-  p.enable_online = false;
-  ProfileMaintenance m(p);
+  ProfileMaintenance m;
+  m.SetEnabled(/*online=*/false, /*multiplexed=*/true);
   auto profile = MeasuredProfile();
   const auto out = m.RecordOnline(&profile, 2, 16.0, 10.0, Seconds(3));
   EXPECT_FALSE(out.recorded);
@@ -177,24 +188,21 @@ TEST(ProfileMaintenanceTest, DisabledOnlineDoesNothing) {
 }
 
 TEST(ProfileMaintenanceTest, PicksStaleForReevaluation) {
-  ProfileMaintenanceParams p;
-  p.evals_per_interval = 2;
-  p.stale_age = Seconds(10);
-  ProfileMaintenance m(p);
-  auto profile = MeasuredProfile();  // all measured at t=1s
-  EXPECT_TRUE(m.PickForReevaluation(profile, Seconds(5)).empty());
-  // After aging, picks arrive in bounded batches and make progress.
-  const auto first = m.PickForReevaluation(profile, Seconds(100));
-  ASSERT_EQ(first.size(), 2u);
-  const auto second = m.PickForReevaluation(profile, Seconds(100));
-  ASSERT_EQ(second.size(), 2u);
+  ProfileMaintenance m;
+  auto profile = WideMeasuredProfile();  // all measured at t=1s
+  // Measured at 1 s, a configuration turns stale once older than 120 s.
+  EXPECT_TRUE(m.PickForReevaluation(profile, Seconds(121)).empty());
+  // After aging, picks arrive in bounded batches of kEvalsPerInterval (6)
+  // and make progress.
+  const auto first = m.PickForReevaluation(profile, Seconds(121) + 1);
+  ASSERT_EQ(first.size(), 6u);
+  const auto second = m.PickForReevaluation(profile, Seconds(121) + 1);
+  ASSERT_EQ(second.size(), 6u);
   EXPECT_NE(first[0], second[0]);
 }
 
 TEST(ProfileMaintenanceTest, FlagDriftMarksWholeProfile) {
-  ProfileMaintenanceParams p;
-  p.evals_per_interval = 100;
-  ProfileMaintenance m(p);
+  ProfileMaintenance m;
   auto profile = MeasuredProfile();
   m.FlagDrift(&profile);
   EXPECT_EQ(m.PickForReevaluation(profile, Seconds(2)).size(), 5u);
@@ -225,16 +233,17 @@ TEST(SystemEclTest, RisingTrendRaisesPressure) {
   engine::LatencyTracker latency(Seconds(60));
   SystemEclParams params;
   params.latency_limit_ms = 100.0;
-  params.pressure_horizon_s = 10.0;
   SystemEcl ecl(&sim, &latency, params);
-  // Latency ramps 50 -> 80 ms over 3 s: ~10 ms/s slope, ttv ~3.5 s.
+  // Latency ramps 50 -> 80 ms over 1.5 s: ~20 ms/s slope, mean ~65 ms,
+  // ttv ~1.75 s, inside the 3 s horizon; the proximity (0.65) stays
+  // below its 0.7 onset, so the trend alone raises the pressure.
   for (int i = 0; i <= 30; ++i) {
-    const SimTime t = Millis(100 * i);
+    const SimTime t = Millis(50 * i);
     latency.RecordCompletion(t - Millis(50 + i), t);
   }
   ecl.Update();
   EXPECT_GT(ecl.pressure(), 0.3);
-  EXPECT_LT(ecl.time_to_violation_s(), 10.0);
+  EXPECT_LT(ecl.time_to_violation_s(), kPressureHorizonS);
 }
 
 TEST(SystemEclTest, LowFlatLatencyRelaxed) {
@@ -255,10 +264,7 @@ TEST(MetaCalibrationTest, FindsPaperLikeTimes) {
   sim::Simulator sim;
   hwsim::Machine machine(&sim, hwsim::MachineParams::HaswellEp());
   MetaCalibration cal(&sim, &machine, 0);
-  MetaCalibrationParams params;
-  params.probes = 2;
-  const MetaCalibrationResult result =
-      cal.Run(workload::ComputeBound(), params);
+  const MetaCalibrationResult result = cal.Run(workload::ComputeBound());
   EXPECT_LE(result.apply_time, Millis(2));
   EXPECT_LE(result.measure_time, Millis(100));
   EXPECT_GE(result.measure_time, Millis(5));

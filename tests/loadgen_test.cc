@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -12,6 +13,7 @@
 #include "experiment/drain.h"
 #include "experiment/experiment.h"
 #include "experiment/loadgen_trace.h"
+#include "experiment/run_matrix.h"
 #include "loadgen/admission.h"
 #include "loadgen/arrival.h"
 #include "loadgen/loadgen.h"
@@ -617,10 +619,17 @@ TEST(LoadgenClusterTest, AnyNodeEntryForwardsAndStaysDeterministic) {
   // node off mid-trace while traffic keeps entering at random nodes.
   const workload::StepProfile profile(
       {{0, 0.5}, {Seconds(10), 0.05}}, Seconds(30));
-  const experiment::ClusterRunResult home = RunClusterExperiment(
-      ClusterKvFactory(), profile, SmallClusterOptions(false));
-  const experiment::ClusterRunResult any = RunClusterExperiment(
-      ClusterKvFactory(), profile, SmallClusterOptions(true));
+  // Three arms, each in its own RunMatrix slot: home routing, any-node
+  // routing, and the any-node run again for the determinism check. They
+  // run on concurrent threads, which the repeat must not perturb.
+  std::array<experiment::ClusterRunResult, 3> runs;
+  experiment::RunMatrix(3, 3, [&](int i) {
+    runs[static_cast<size_t>(i)] = RunClusterExperiment(
+        ClusterKvFactory(), profile, SmallClusterOptions(i != 0));
+  });
+  const experiment::ClusterRunResult& home = runs[0];
+  const experiment::ClusterRunResult& any = runs[1];
+  const experiment::ClusterRunResult& again = runs[2];
   // Home routing only crosses the network around migrations; any-node
   // routing crosses it on roughly half of every 2-node submission.
   EXPECT_GT(any.remote_sends, 4 * std::max<int64_t>(home.remote_sends, 1));
@@ -630,8 +639,6 @@ TEST(LoadgenClusterTest, AnyNodeEntryForwardsAndStaysDeterministic) {
   EXPECT_GT(any.stale_forwards, 0);
   EXPECT_EQ(any.completed, any.submitted);
   // Same options, same seeds, same simulation — bit for bit.
-  const experiment::ClusterRunResult again = RunClusterExperiment(
-      ClusterKvFactory(), profile, SmallClusterOptions(true));
   EXPECT_EQ(again.submitted, any.submitted);
   EXPECT_EQ(again.remote_sends, any.remote_sends);
   EXPECT_EQ(again.stale_forwards, any.stale_forwards);

@@ -109,9 +109,7 @@ TEST(ProfileSerializationTest, RoundTripPreservesStaleness) {
 TEST(LearnCacheSerializationTest, RoundTripPreservesObservations) {
   EnergyProfile profile = MakeProfile();
   const uint64_t fp = ProfileFingerprint(profile);
-  ecl::ProfilePredictorParams params;
-  params.enabled = true;
-  ecl::ProfilePredictor original(profile.size(), params);
+  ecl::ProfilePredictor original(profile.size());
   Rng rng(9);
   for (int i = 1; i < profile.size(); i += 2) {
     for (int rep = 0; rep < 3; ++rep) {
@@ -129,7 +127,7 @@ TEST(LearnCacheSerializationTest, RoundTripPreservesObservations) {
   ASSERT_GT(original.size(), 0);
   const std::string text = ecl::SerializeLearnCache(original, fp);
 
-  ecl::ProfilePredictor restored(profile.size(), params);
+  ecl::ProfilePredictor restored(profile.size());
   ASSERT_TRUE(ecl::DeserializeLearnCache(text, fp, &restored));
   ASSERT_EQ(restored.size(), original.size());
   for (int i = 1; i < profile.size(); ++i) {
@@ -165,9 +163,7 @@ TEST(LearnCacheSerializationTest, RoundTripPreservesObservations) {
 TEST(LearnCacheSerializationTest, RejectsCorruptInput) {
   EnergyProfile profile = MakeProfile();
   const uint64_t fp = ProfileFingerprint(profile);
-  ecl::ProfilePredictorParams params;
-  params.enabled = true;
-  ecl::ProfilePredictor pred(profile.size(), params);
+  ecl::ProfilePredictor pred(profile.size());
   FeatureInputs in;
   in.instr_rate = 1e9;
   in.dram_bytes_rate = 1e8;
