@@ -15,7 +15,12 @@
 namespace ecldb::msg {
 
 struct MessageLayerParams {
+  /// Messages one partition queue holds before Send() rejects (the
+  /// scheduler then spills). A bound on queued messages, not on memory:
+  /// a queue is resident only up to the slots it has filled.
   size_t partition_queue_capacity = 1 << 14;
+  /// Messages one outbound comm channel holds; likewise resident only as
+  /// far as it has been filled.
   size_t comm_channel_capacity = 1 << 14;
   size_t comm_pump_batch = 256;
   /// Optional telemetry context. When set, the layer's backpressure and

@@ -1,9 +1,12 @@
 #ifndef ECLDB_MSG_MPMC_RING_H_
 #define ECLDB_MSG_MPMC_RING_H_
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -15,18 +18,32 @@ namespace ecldb::msg {
 /// Partition queues are built on this: any worker of a socket may enqueue
 /// messages for any partition, and whichever worker owns the partition at
 /// the moment drains it.
+///
+/// The cells live in an anonymous private mapping, which the OS backs with
+/// zero pages on first touch. Each cell stores its Vyukov sequence number
+/// minus its own index, so an all-zero cell is the initial state and the
+/// constructor writes nothing. Cells are filled in position order, so a
+/// ring is resident only for the slots it has filled so far, whatever its
+/// capacity; a ring that has wrapped is resident in full.
 template <typename T>
 class MpmcRing {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "ring cells start as zero pages and are never constructed");
+
  public:
   explicit MpmcRing(size_t min_capacity) {
     size_t cap = 2;
     while (cap < min_capacity) cap <<= 1;
-    cells_ = std::make_unique<Cell[]>(cap);
     mask_ = cap - 1;
-    for (size_t i = 0; i < cap; ++i) {
-      cells_[i].sequence.store(i, std::memory_order_relaxed);
-    }
+    void* mem = mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ECLDB_CHECK_MSG(mem != MAP_FAILED, "ring cell mapping");
+    // Transparent huge pages would make one touched cell resident as 2 MiB.
+    madvise(mem, bytes(), MADV_NOHUGEPAGE);
+    cells_ = static_cast<Cell*>(mem);
   }
+
+  ~MpmcRing() { munmap(cells_, bytes()); }
 
   MpmcRing(const MpmcRing&) = delete;
   MpmcRing& operator=(const MpmcRing&) = delete;
@@ -38,7 +55,7 @@ class MpmcRing {
     size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
     for (;;) {
       cell = &cells_[pos & mask_];
-      const size_t seq = cell->sequence.load(std::memory_order_acquire);
+      const size_t seq = LoadSequence(pos);
       const intptr_t diff =
           static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
       if (diff == 0) {
@@ -53,7 +70,7 @@ class MpmcRing {
       }
     }
     cell->value = value;
-    cell->sequence.store(pos + 1, std::memory_order_release);
+    StoreSequence(pos, pos + 1);
     return true;
   }
 
@@ -62,7 +79,7 @@ class MpmcRing {
     size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
     for (;;) {
       cell = &cells_[pos & mask_];
-      const size_t seq = cell->sequence.load(std::memory_order_acquire);
+      const size_t seq = LoadSequence(pos);
       const intptr_t diff =
           static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1);
       if (diff == 0) {
@@ -77,7 +94,7 @@ class MpmcRing {
       }
     }
     *out = cell->value;
-    cell->sequence.store(pos + mask_ + 1, std::memory_order_release);
+    StoreSequence(pos, pos + mask_ + 1);
     return true;
   }
 
@@ -91,11 +108,28 @@ class MpmcRing {
 
  private:
   struct Cell {
-    std::atomic<size_t> sequence{0};
-    T value{};
+    /// Sequence number minus the cell's index (wraps modulo 2^64).
+    size_t sequence;
+    T value;
   };
 
-  std::unique_ptr<Cell[]> cells_;
+  size_t bytes() const { return capacity() * sizeof(Cell); }
+
+  /// Sequence number of the cell that position `pos` maps to.
+  size_t LoadSequence(size_t pos) const {
+    const size_t index = pos & mask_;
+    return std::atomic_ref<size_t>(cells_[index].sequence)
+               .load(std::memory_order_acquire) +
+           index;
+  }
+
+  void StoreSequence(size_t pos, size_t seq) {
+    const size_t index = pos & mask_;
+    std::atomic_ref<size_t>(cells_[index].sequence)
+        .store(seq - index, std::memory_order_release);
+  }
+
+  Cell* cells_ = nullptr;
   size_t mask_ = 0;
   alignas(64) std::atomic<size_t> enqueue_pos_{0};
   alignas(64) std::atomic<size_t> dequeue_pos_{0};

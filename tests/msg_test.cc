@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <fstream>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -14,7 +17,6 @@
 #include "msg/mpmc_ring.h"
 #include "msg/partition_queue.h"
 #include "msg/placement_view.h"
-#include "msg/spsc_ring.h"
 
 namespace ecldb::msg {
 namespace {
@@ -53,44 +55,6 @@ struct RouterHarness {
     }
   }
 };
-
-TEST(SpscRingTest, FifoSingleThread) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99));  // full
-  int v;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.TryPop(&v));  // empty
-}
-
-TEST(SpscRingTest, CapacityRoundsToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRingTest, TwoThreadStress) {
-  SpscRing<int64_t> ring(1024);
-  constexpr int64_t kCount = 200000;
-  std::thread producer([&] {
-    for (int64_t i = 0; i < kCount; ++i) {
-      while (!ring.TryPush(i)) {
-      }
-    }
-  });
-  int64_t expected = 0;
-  while (expected < kCount) {
-    int64_t v;
-    if (ring.TryPop(&v)) {
-      ASSERT_EQ(v, expected);  // strict FIFO
-      ++expected;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.EmptyApprox());
-}
 
 TEST(MpmcRingTest, FifoSingleThread) {
   MpmcRing<int> ring(8);
@@ -136,6 +100,48 @@ TEST(MpmcRingTest, MultiProducerMultiConsumerStress) {
   const int64_t n = kProducers * kPerProducer;
   EXPECT_EQ(popped.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+/// Fills a ring of exactly `capacity` slots, then runs it through `laps`
+/// laps: each alternates pop and push once round the ring (full after
+/// every step), then drains to empty and refills to full. Checks FIFO
+/// values and both edges on every lap, so positions wrap many times.
+void CheckLapsAtExactCapacity(size_t capacity, int laps) {
+  MpmcRing<Message> ring(capacity);
+  ASSERT_EQ(ring.capacity(), capacity);
+  int64_t next_push = 0;
+  int64_t next_pop = 0;
+  Message m;
+  auto pop_expect_next = [&] {
+    ASSERT_TRUE(ring.TryPop(&m));
+    ASSERT_EQ(m.query_id, next_pop++);
+  };
+  ASSERT_FALSE(ring.TryPop(&m));
+  for (size_t i = 0; i < capacity; ++i) {
+    ASSERT_TRUE(ring.TryPush(MakeMsg(0, next_push++)));
+  }
+  ASSERT_FALSE(ring.TryPush(MakeMsg(0, -1)));
+  for (int lap = 0; lap < laps; ++lap) {
+    for (size_t i = 0; i < capacity; ++i) {
+      pop_expect_next();
+      ASSERT_TRUE(ring.TryPush(MakeMsg(0, next_push++)));
+      ASSERT_FALSE(ring.TryPush(MakeMsg(0, -1)));
+    }
+    ASSERT_EQ(ring.SizeApprox(), capacity);
+    for (size_t i = 0; i < capacity; ++i) pop_expect_next();
+    ASSERT_FALSE(ring.TryPop(&m));
+    ASSERT_TRUE(ring.EmptyApprox());
+    for (size_t i = 0; i < capacity; ++i) {
+      ASSERT_TRUE(ring.TryPush(MakeMsg(0, next_push++)));
+    }
+    ASSERT_FALSE(ring.TryPush(MakeMsg(0, -1)));
+  }
+  EXPECT_EQ(next_push - next_pop, static_cast<int64_t>(capacity));
+}
+
+TEST(MpmcRingTest, WrapsManyLapsAtExactCapacity) {
+  CheckLapsAtExactCapacity(8, 5);
+  CheckLapsAtExactCapacity(MessageLayerParams{}.partition_queue_capacity, 5);
 }
 
 TEST(PartitionQueueTest, OwnershipProtocol) {
@@ -537,6 +543,45 @@ TEST(MessageLayerTest, RouterOccupancyMatchesLinearScanUnderRandomOps) {
   EXPECT_GT(acquires, 1000);
   EXPECT_GT(rehomes, 500);
   for (PartitionQueue* q : held) q->Release(1);
+}
+
+// The scheduler spills a message when its partition queue rejects it, so
+// the default capacity is part of every simulated outcome.
+TEST(MessageLayerTest, DefaultPartitionQueueHoldsExactly16Ki) {
+  TestPlacement placement({0});
+  MessageLayer layer(1, &placement, MessageLayerParams{});
+  int sent = 0;
+  while (sent <= 16384 && layer.Send(0, MakeMsg(0, sent))) ++sent;
+  EXPECT_EQ(sent, 16384);
+  EXPECT_EQ(layer.socket_stats(0).send_rejects, 1);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0;
+  int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// A rack node's layer: 2 sockets and 192 partitions at the default
+// capacities, i.e. 192 MiB of partition-queue cells plus the comm outboxes.
+// None of it may be resident before a message is queued. The layer is built
+// twice so that reuse of the first build's freed memory would show too.
+TEST(MessageLayerTest, UntouchedQueuesStayNonResident) {
+  std::vector<SocketId> home(192);
+  for (size_t p = 0; p < home.size(); ++p) {
+    home[p] = static_cast<SocketId>(p % 2);
+  }
+  TestPlacement placement(home);
+  const int64_t baseline = ResidentBytes();
+  for (int build = 0; build < 2; ++build) {
+    auto layer =
+        std::make_unique<MessageLayer>(2, &placement, MessageLayerParams{});
+    EXPECT_LT(ResidentBytes() - baseline, int64_t{8} << 20)
+        << "build " << build;
+  }
 }
 
 TEST(MessageTest, TypeNames) {
