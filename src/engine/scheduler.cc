@@ -435,7 +435,21 @@ void Scheduler::Advance(SimTime t0, SimTime t1) {
   moved += RetrySpill();
   if (moved > 0) settled = false;
 
-  for (Worker& w : workers_) {
+  if (machine_->config_writes() != visit_config_writes_) {
+    // The active-thread set may have changed: visit every worker again.
+    visit_.resize(workers_.size());
+    for (size_t i = 0; i < workers_.size(); ++i) visit_[i] = static_cast<int>(i);
+    visit_config_writes_ = machine_->config_writes();
+  }
+#ifndef NDEBUG
+  AuditParkedWorkers();
+#endif
+
+  // Compacts `visit_` in place: a worker stays unless it is parked below.
+  size_t kept = 0;
+  for (size_t i = 0; i < visit_.size(); ++i) {
+    const int id = visit_[i];
+    Worker& w = workers_[static_cast<size_t>(id)];
     const hwsim::SocketConfig& cfg = machine_->requested_config(w.socket);
     const bool active =
         cfg.ThreadActive(topo.LocalThreadOfThread(w.hw_thread));
@@ -447,9 +461,14 @@ void Scheduler::Advance(SimTime t0, SimTime t1) {
       // Hardware thread is in a sleep state: give the partition back.
       ReleaseOwnership(&w, /*requeue_batch=*/true);
       machine_->SetThreadLoad(w.hw_thread, nullptr, 0.0);
-      (void)machine_->TakeCompletedOps(w.hw_thread);
+      // The worker now holds no work and its thread is unloaded, so the
+      // machine credits it nothing. Once a visit also took no credit, the
+      // worker is parked: every later visit would change nothing until a
+      // config write rebuilds the list.
+      if (machine_->TakeCompletedOps(w.hw_thread) != 0.0) visit_[kept++] = id;
       continue;
     }
+    visit_[kept++] = id;
     w.active_seconds += dt_s;
 
     if (synthetic_load_ != nullptr) {
@@ -493,6 +512,7 @@ void Scheduler::Advance(SimTime t0, SimTime t1) {
     }
     machine_->SetThreadLoad(w.hw_thread, next, next != nullptr ? 1.0 : 0.0);
   }
+  visit_.resize(kept);
 
   steady_ = settled;
   steady_config_writes_ = machine_->config_writes();
@@ -507,9 +527,37 @@ SimTime Scheduler::StationaryUntil(SimTime now) const {
   return kSimTimeNever;
 }
 
+#ifndef NDEBUG
+void Scheduler::AuditParkedWorkers() const {
+  // A parked worker is skipped on the promise that a visit would change
+  // nothing. A caller that loads a sleeping thread without a config write
+  // breaks that promise, and the credit the machine then accrues would be
+  // lost silently; abort instead.
+  const hwsim::Topology& topo = machine_->topology();
+  size_t k = 0;
+  for (const Worker& w : workers_) {
+    if (k < visit_.size() && visit_[k] == w.id) {
+      ++k;
+      continue;
+    }
+    ECLDB_CHECK_MSG(!machine_->requested_config(w.socket).ThreadActive(
+                        topo.LocalThreadOfThread(w.hw_thread)),
+                    "parked worker's hardware thread is active");
+    ECLDB_CHECK_MSG(w.owned == nullptr && w.batch.empty() &&
+                        w.remaining_ops == 0.0,
+                    "parked worker holds work");
+    ECLDB_CHECK_MSG(machine_->thread_load(w.hw_thread).profile == nullptr &&
+                        machine_->PeekCompletedOps(w.hw_thread) == 0.0,
+                    "parked worker's sleeping thread was loaded without a "
+                    "config write");
+  }
+}
+#endif
+
 void Scheduler::FastForward(SimTime t0, SimTime t1, SimDuration slice) {
   const hwsim::Topology& topo = machine_->topology();
-  for (Worker& w : workers_) {
+  for (const int id : visit_) {
+    Worker& w = workers_[static_cast<size_t>(id)];
     const hwsim::SocketConfig& cfg = machine_->requested_config(w.socket);
     if (!cfg.ThreadActive(topo.LocalThreadOfThread(w.hw_thread))) continue;
     // Replay the per-slice accumulations on the same slice grid (sums of

@@ -150,6 +150,9 @@ class Scheduler {
   /// queue and not yet retried).
   int64_t spilled() const { return spilled_; }
 
+  /// Per-hardware-thread worker state, indexed by HwThreadId (inspection).
+  const std::vector<Worker>& workers() const { return workers_; }
+
  private:
   struct QueryState {
     SimTime arrival = 0;
@@ -175,6 +178,22 @@ class Scheduler {
   SimTime StationaryUntil(SimTime now) const;
   /// Replays the per-slice accumulations of settled slices over (t0, t1].
   void FastForward(SimTime t0, SimTime t1, SimDuration slice);
+
+  // --- Worker visit list ----------------------------------------------
+  //
+  // A slice visits only the workers in `visit_`. A worker whose hardware
+  // thread sleeps is parked (dropped from the list) after a visit that
+  // left it clean: no owned queue, no batch, no remaining ops, an unloaded
+  // thread, and no credit taken. Any config write may wake threads, so
+  // the list is rebuilt with every worker after each one. Active workers
+  // are always visited, idle ones too: their `active_seconds` sums are
+  // order-dependent doubles, so they must see every slice.
+
+#ifndef NDEBUG
+  /// Debug builds: aborts unless every parked worker is still clean and
+  /// its thread still asleep and unloaded.
+  void AuditParkedWorkers() const;
+#endif
 
   /// Morsel count a partition task splits into (explicit request, or
   /// morsel_ops auto-split for large kWorkUnits tasks), capped at 64.
@@ -236,6 +255,10 @@ class Scheduler {
   /// Machine config-write generation at the time `steady_` was computed;
   /// a later write may have changed the active-thread set.
   int64_t steady_config_writes_ = -1;
+  /// Ids of the workers a slice visits, ascending (see above).
+  std::vector<int> visit_;
+  /// Machine config-write generation `visit_` was rebuilt at.
+  int64_t visit_config_writes_ = -1;
 };
 
 }  // namespace ecldb::engine

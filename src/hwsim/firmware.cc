@@ -40,15 +40,16 @@ void Firmware::NotifyConfigWrite(SocketId socket, const SocketConfig& requested,
   }
 }
 
-MachineConfig Firmware::Resolve(const MachineConfig& requested,
-                                const std::vector<bool>& socket_busy,
-                                const std::vector<double>& socket_power_scale,
-                                SimTime now, SimDuration dt) {
+void Firmware::Resolve(const MachineConfig& requested,
+                       const std::vector<bool>& socket_busy,
+                       const std::vector<double>& socket_power_scale,
+                       SimTime now, SimDuration dt, MachineConfig* effective) {
   ECLDB_DCHECK(static_cast<int>(requested.sockets.size()) == topo_.num_sockets);
-  MachineConfig effective = requested;
+  ECLDB_DCHECK(effective != &requested);
+  *effective = requested;
   next_change_ = kSimTimeNever;
   for (SocketId s = 0; s < topo_.num_sockets; ++s) {
-    SocketConfig& cfg = effective.sockets[static_cast<size_t>(s)];
+    SocketConfig& cfg = effective->sockets[static_cast<size_t>(s)];
 
     // Automatic uncore frequency scaling: the CPU greedily selects the
     // highest uncore frequency whenever the socket has work, even when this
@@ -115,7 +116,6 @@ MachineConfig Firmware::Resolve(const MachineConfig& requested,
                                      static_cast<double>(dt));
     }
   }
-  return effective;
 }
 
 void Firmware::AdvanceBudget(SimDuration dt) {

@@ -59,15 +59,16 @@ class Firmware {
                          SimTime now);
 
   /// Resolves the *effective* machine configuration at `now` for the
-  /// upcoming slice of length `dt`: applies EET delay, the turbo thermal
-  /// budget, and automatic uncore scaling. `socket_busy` reports whether
-  /// any thread of the socket currently has work (drives auto-UFS);
-  /// `socket_power_scale` is the dynamic-power scale of the running mix
-  /// (drives the thermal turbo budget).
-  MachineConfig Resolve(const MachineConfig& requested,
-                        const std::vector<bool>& socket_busy,
-                        const std::vector<double>& socket_power_scale,
-                        SimTime now, SimDuration dt);
+  /// upcoming slice of length `dt` into `effective`: applies EET delay,
+  /// the turbo thermal budget, and automatic uncore scaling. `socket_busy`
+  /// reports whether any thread of the socket currently has work (drives
+  /// auto-UFS); `socket_power_scale` is the dynamic-power scale of the
+  /// running mix (drives the thermal turbo budget). `effective` is
+  /// overwritten in place, reusing its storage.
+  void Resolve(const MachineConfig& requested,
+               const std::vector<bool>& socket_busy,
+               const std::vector<double>& socket_power_scale, SimTime now,
+               SimDuration dt, MachineConfig* effective);
 
   /// Earliest future time at which the firmware would change its decisions
   /// on its own (EET grant maturing, thermal turbo budget depleting) given

@@ -31,6 +31,7 @@ Machine::Machine(sim::Simulator* simulator, const MachineParams& params)
       socket_busy_scratch_(static_cast<size_t>(params.topology.num_sockets), false),
       socket_scale_scratch_(static_cast<size_t>(params.topology.num_sockets), 1.0) {
   ECLDB_CHECK(simulator_ != nullptr);
+  integrate_threads_.reserve(static_cast<size_t>(params.topology.total_threads()));
   sim::Advancer advancer;
   advancer.advance = [this](SimTime t0, SimTime t1) { Advance(t0, t1); };
   advancer.stationary_until = [this](SimTime now) { return StationaryUntil(now); };
@@ -227,7 +228,9 @@ void Machine::IntegrateSlice(SimTime t0, SimTime t1) {
     // (work_frac-scaled) bandwidth — bit-identical for a clean slice.
     dram_bytes_[idx] += instant_bandwidth_[idx] * 1e9 * dt_s;
   }
-  for (HwThreadId t = 0; t < topo.total_threads(); ++t) {
+  // Threads outside `integrate_threads_` would add 0.0 to non-negative
+  // sums, which changes nothing, so only the running ones are visited.
+  for (const HwThreadId t : integrate_threads_) {
     const auto idx = static_cast<size_t>(t);
     counters_.AddInstructions(t, solved_.threads[idx].instr_per_sec * dt_s);
     const ThreadLoad& l = loads_[idx];
@@ -257,7 +260,7 @@ void Machine::SolveSlice(SimTime t0, SimTime t1) {
     }
   }
 
-  effective_ = firmware_.Resolve(requested_, socket_busy, socket_scale, t0, dt);
+  firmware_.Resolve(requested_, socket_busy, socket_scale, t0, dt, &effective_);
   perf_model_.Solve(effective_, loads_, &solved_);
   const SolveResult& solved = solved_;
 
@@ -320,6 +323,7 @@ void Machine::SolveSlice(SimTime t0, SimTime t1) {
   }
 
   std::fill(cached_poll_rate_.begin(), cached_poll_rate_.end(), 0.0);
+  integrate_threads_.clear();
   for (HwThreadId t = 0; t < topo.total_threads(); ++t) {
     const auto idx = static_cast<size_t>(t);
     const ThreadRate& r = solved.threads[idx];
@@ -333,6 +337,9 @@ void Machine::SolveSlice(SimTime t0, SimTime t1) {
       cached_ops_rate_[idx] = r.ops_per_sec * l.intensity;
     } else {
       cached_ops_rate_[idx] = 0.0;
+    }
+    if (r.instr_per_sec != 0.0 || cached_ops_rate_[idx] != 0.0) {
+      integrate_threads_.push_back(t);
     }
   }
   for (SocketId s = 0; s < topo.num_sockets; ++s) {

@@ -119,6 +119,14 @@ class Machine {
   /// Drains the completed-operation credit of a thread accumulated since
   /// the last call (fluid execution model).
   double TakeCompletedOps(HwThreadId thread);
+  /// The credit TakeCompletedOps would return now, without draining it.
+  double PeekCompletedOps(HwThreadId thread) const {
+    return ops_credit_[static_cast<size_t>(thread)];
+  }
+  /// Work currently offered to a thread (null profile: none).
+  const ThreadLoad& thread_load(HwThreadId thread) const {
+    return loads_[static_cast<size_t>(thread)];
+  }
 
   /// Last solved completion rate (ops/s at intensity 1) of a thread.
   double CurrentRate(HwThreadId thread) const;
@@ -270,6 +278,10 @@ class Machine {
   SolveResult solved_;
   /// Per-thread `ops_per_sec * intensity` of the cached solution.
   std::vector<double> cached_ops_rate_;
+  /// Threads, ascending, whose cached `instr_per_sec` or
+  /// `cached_ops_rate_` is non-zero: the only ones a replayed slice
+  /// changes. Sleeping threads retire nothing and are left out.
+  std::vector<HwThreadId> integrate_threads_;
   // Scratch hoisted out of the per-slice path.
   std::vector<bool> socket_busy_scratch_;
   std::vector<double> socket_scale_scratch_;

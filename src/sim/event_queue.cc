@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <bit>
 #include <utility>
 
 #include "common/check.h"
@@ -9,29 +10,45 @@ namespace ecldb::sim {
 EventId EventQueue::Schedule(SimTime t, std::function<void()> fn) {
   const EventId id = next_id_++;
   heap_.push(Entry{t, id, std::move(fn)});
-  pending_ids_.insert(id);
+  const EventId word = id >> 6;
+  ECLDB_DCHECK(word == end_word_ || word + 1 == end_word_);
+  uint64_t& bits = window_[Slot(id)];
+  if (word == end_word_) {
+    // The window slides by one word: the pending ids of the word that
+    // leaves it (which shares the slot) become stragglers.
+    for (; bits != 0; bits &= bits - 1) {
+      stragglers_.insert((word - kWindowWords) * 64 + std::countr_zero(bits));
+    }
+    end_word_ = word + 1;
+  }
+  bits |= uint64_t{1} << (id & 63);
   ++live_count_;
   return id;
 }
 
+bool EventQueue::IsPending(EventId id) const {
+  if (id <= 0 || id >= next_id_) return false;
+  if ((id >> 6) < end_word_ - kWindowWords) return stragglers_.count(id) > 0;
+  return (window_[Slot(id)] >> (id & 63) & 1) != 0;
+}
+
+void EventQueue::ClearPending(EventId id) {
+  if ((id >> 6) < end_word_ - kWindowWords) {
+    stragglers_.erase(id);
+  } else {
+    window_[Slot(id)] &= ~(uint64_t{1} << (id & 63));
+  }
+}
+
 bool EventQueue::Cancel(EventId id) {
-  if (pending_ids_.erase(id) == 0) return false;
-  cancelled_.insert(id);
+  if (!IsPending(id)) return false;
+  ClearPending(id);
   --live_count_;
   return true;
 }
 
 void EventQueue::SkipCancelled() const {
-  // const_cast-free lazily cleaning view: heap_ and cancelled_ are mutable
-  // conceptually; heap_ is declared mutable for this purpose.
-  while (!heap_.empty()) {
-    const Entry& top = heap_.top();
-    auto* self = const_cast<EventQueue*>(this);
-    auto it = self->cancelled_.find(top.id);
-    if (it == self->cancelled_.end()) return;
-    self->cancelled_.erase(it);
-    self->heap_.pop();
-  }
+  while (!heap_.empty() && !IsPending(heap_.top().id)) heap_.pop();
 }
 
 SimTime EventQueue::NextTime() const {
@@ -45,7 +62,7 @@ SimTime EventQueue::PopAndRun() {
   // Move the entry out before running: the callback may schedule new events.
   Entry entry = std::move(const_cast<Entry&>(heap_.top()));
   heap_.pop();
-  pending_ids_.erase(entry.id);
+  ClearPending(entry.id);
   --live_count_;
   entry.fn();
   return entry.t;

@@ -52,14 +52,35 @@ class EventQueue {
     }
   };
 
+  /// Words in the pending-id window: the newest 64 Ki ids, 8 KiB.
+  static constexpr EventId kWindowWords = 1024;
+
+  /// True while `id` is scheduled and has neither fired nor been
+  /// cancelled.
+  bool IsPending(EventId id) const;
+  /// Marks a pending `id` fired or cancelled.
+  void ClearPending(EventId id);
+  /// Ring slot of the window word that holds `id`'s bit.
+  static size_t Slot(EventId id) {
+    return static_cast<size_t>((id >> 6) % kWindowWords);
+  }
+  /// Pops the cancelled entries off the top of the heap.
   void SkipCancelled() const;
 
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
-  /// IDs currently in the heap and neither fired nor cancelled. Cancel only
-  /// honours members, so an already-fired ID cannot corrupt `live_count_` or
-  /// leak into `cancelled_`.
-  std::unordered_set<EventId> pending_ids_;
+  /// Pending-id bitmap over the newest kWindowWords words of ids, a ring:
+  /// bit `id % 64` of word `id / 64`, stored at slot
+  /// `(id / 64) % kWindowWords`. A heap entry whose id is not pending was
+  /// cancelled; Cancel only honours pending ids, so an already-fired or
+  /// unknown id cannot corrupt `live_count_`.
+  std::vector<uint64_t> window_ = std::vector<uint64_t>(kWindowWords, 0);
+  /// One past the newest word in the window.
+  EventId end_word_ = 0;
+  /// Pending ids older than the window: events that stayed pending while
+  /// 64 Ki newer ids were issued (samplers scheduled for a whole run, far
+  /// timeouts). Few, so hashing them costs little, and the bookkeeping
+  /// does not grow with the number of events ever scheduled.
+  std::unordered_set<EventId> stragglers_;
   EventId next_id_ = 1;
   int64_t live_count_ = 0;
 };

@@ -22,10 +22,13 @@
 #include "ecl/os_governor.h"
 #include "ecl/profile_maintenance.h"
 #include "ecl/profile_predictor.h"
+#include "engine/cluster_engine.h"
 #include "engine/engine.h"
+#include "experiment/cluster_trace.h"
 #include "experiment/drift_trace.h"
 #include "experiment/experiment.h"
 #include "experiment/loadgen_trace.h"
+#include "hwsim/cluster.h"
 #include "hwsim/machine.h"
 #include "loadgen/loadgen.h"
 #include "profile/config_generator.h"
@@ -220,6 +223,73 @@ TEST(EclPinnedOutcomeTest, MetaCalibrationAndOsGovernor) {
   EXPECT_EQ(Bits(machine.TotalEnergyJoules()), 0x408e6929ae1e5c38ull);  // 973 J
   EXPECT_EQ(governor.current_freq_ghz(), 1.7);
   EXPECT_EQ(engine.latency().completed(), 99167);
+}
+
+// Node scope: a 4-node rack under the cluster ECL, each node running its
+// socket and system ECLs. Low load lets the cluster ECL drain and power
+// nodes down; a flash crowd then wakes one again. Sleeping hardware
+// threads, node power-down and wake, and the cross-node migrations all
+// feed into the pinned energy, counts and tail, so any change to how a
+// simulation step treats them shows here bit for bit.
+TEST(ClusterPinnedOutcomeTest, RackPowerDownAndWake) {
+  experiment::ClusterSloRunOptions options;
+  experiment::ClusterRunOptions& c = options.cluster;
+  c.prime_duration = Seconds(8);
+  c.cluster_ecl.enabled = true;
+  c.cluster_ecl.interval = Seconds(1);
+  c.cluster_ecl.migrations_per_tick = 12;
+  c.cluster_ecl.spread_migrations_per_tick = 24;
+  c.cluster_ecl.post_migration_hold = Seconds(2);
+  c.cluster_ecl.min_on_time = Seconds(5);
+  c.engine.migration.min_shard_bytes = 64.0 * (1 << 20);
+  c.node_ecl.socket.exclude_poll_instructions = true;
+  options.loadgen.duration = Seconds(45);
+  loadgen::TenantSpec premium;
+  premium.name = "premium";
+  premium.slo_class = loadgen::SloClass::kPremium;
+  premium.weight = 0.3;
+  premium.arrival.num_users = 400'000;
+  premium.arrival.per_user_qps = 0.01;
+  loadgen::TenantSpec standard = premium;
+  standard.name = "standard";
+  standard.slo_class = loadgen::SloClass::kStandard;
+  standard.weight = 0.7;
+  standard.arrival.num_users = 1'000'000;
+  options.loadgen.tenants = {premium, standard};
+  for (loadgen::TenantSpec& t : options.loadgen.tenants) {
+    loadgen::ShapeSpec crowd;
+    crowd.name = "flash_crowd";
+    crowd.magnitude = 6.0;
+    crowd.start = Seconds(14);
+    crowd.duration = Seconds(28);
+    t.shapes.push_back(crowd);
+  }
+  options.total_load = 0.05;
+  options.admission_enabled = false;
+  const experiment::SloRunResult r = experiment::RunClusterSloExperiment(
+      [](engine::Engine* e) -> std::unique_ptr<workload::Workload> {
+        workload::KvParams params;
+        params.indexed = false;
+        params.num_keys = int64_t{1} << 27;
+        params.batch_gets = 16'000;
+        return std::make_unique<workload::KvWorkload>(e, params);
+      },
+      options);
+  int downs = 0;
+  int ups = 0;
+  for (size_t i = 1; i < r.series.size(); ++i) {
+    if (r.series[i].width < r.series[i - 1].width) ++downs;
+    if (r.series[i].width > r.series[i - 1].width) ++ups;
+  }
+  // Three nodes drain and power down one by one; all three wake for the
+  // crowd and finish booting before the trace ends.
+  EXPECT_EQ(downs, 3);
+  EXPECT_EQ(ups, 3);
+  EXPECT_TRUE(r.drained);
+  EXPECT_EQ(Bits(r.energy_j), 0x40da4d25456846c0ull);  // 26932.58 J
+  EXPECT_EQ(Bits(r.p99_ms), 0x40ba143490024124ull);    // 6676.21 ms
+  EXPECT_EQ(r.completed, 573179);
+  EXPECT_EQ(r.failed, 0);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "engine/engine.h"
 #include "telemetry/telemetry.h"
 #include "hwsim/machine.h"
@@ -106,6 +110,86 @@ TEST_F(SchedulerTest, DeactivationMidworkRequeues) {
                                     machine_.topology(), 4, 2.6, 3.0));
   sim_.RunFor(Seconds(2));
   EXPECT_EQ(engine_.latency().completed(), 1);
+}
+
+// Half of socket 0's threads go to sleep in the middle of their batches.
+// A slice skips a sleeping worker once its state is clean, so the state
+// must stay clean: the requeued work completes elsewhere, the sleeping
+// threads carry no load and no credit, and neither their instruction
+// counters nor their workers' active time move. A wake puts them back to
+// work.
+TEST_F(SchedulerTest, SleptWorkersStayCleanAndWakeResumes) {
+  AllOn();
+  const hwsim::Topology& topo = machine_.topology();
+  const int half = topo.threads_per_socket() / 2;
+  auto submit_batch = [this] {
+    // Four ~8 ms tasks per socket-0 partition: each worker owns a batch.
+    for (int round = 0; round < 4; ++round) {
+      for (PartitionId p = 0; p < 24; ++p) engine_.Submit(ComputeQuery(p, 2e7));
+    }
+  };
+  submit_batch();
+  sim_.RunFor(Millis(10));
+  const Scheduler& sched = engine_.scheduler();
+  int mid_batch = 0;
+  for (HwThreadId t = half; t < topo.threads_per_socket(); ++t) {
+    if (sched.workers()[static_cast<size_t>(t)].HasBatchWork()) ++mid_batch;
+  }
+  EXPECT_GT(mid_batch, 0);
+  machine_.ApplySocketConfig(
+      0, hwsim::SocketConfig::FirstThreads(topo, half, 2.6, 3.0));
+  sim_.RunFor(Millis(2));
+
+  std::vector<uint64_t> instructions;
+  std::vector<uint64_t> active_bits;
+  for (HwThreadId t = half; t < topo.threads_per_socket(); ++t) {
+    instructions.push_back(machine_.ReadInstructions(t));
+    active_bits.push_back(std::bit_cast<uint64_t>(
+        sched.workers()[static_cast<size_t>(t)].active_seconds));
+  }
+  for (int slice = 0; slice < 500; ++slice) {
+    sim_.RunFor(Millis(1));
+    for (HwThreadId t = half; t < topo.threads_per_socket(); ++t) {
+      const Worker& w = sched.workers()[static_cast<size_t>(t)];
+      const auto k = static_cast<size_t>(t - half);
+      ASSERT_EQ(w.owned, nullptr);
+      ASSERT_TRUE(w.batch.empty());
+      ASSERT_EQ(w.remaining_ops, 0.0);
+      ASSERT_EQ(machine_.thread_load(t).profile, nullptr);
+      ASSERT_EQ(machine_.PeekCompletedOps(t), 0.0);
+      ASSERT_EQ(machine_.ReadInstructions(t), instructions[k]);
+      ASSERT_EQ(std::bit_cast<uint64_t>(w.active_seconds), active_bits[k]);
+    }
+  }
+  EXPECT_EQ(engine_.latency().completed(), 96);
+  EXPECT_EQ(sched.inflight(), 0);
+
+  // Wake: the slept threads take work again.
+  AllOn();
+  submit_batch();
+  sim_.RunFor(Millis(5));
+  for (HwThreadId t = half; t < topo.threads_per_socket(); ++t) {
+    EXPECT_GT(sched.workers()[static_cast<size_t>(t)].busy_seconds, 0.0)
+        << "thread " << t;
+    EXPECT_GT(machine_.ReadInstructions(t),
+              instructions[static_cast<size_t>(t - half)]);
+  }
+  sim_.RunFor(Millis(500));
+  EXPECT_EQ(engine_.latency().completed(), 192);
+}
+
+// A slice skips parked workers, so work offered to a sleeping thread
+// without a config write would earn credit nobody takes. Debug builds
+// audit the parked workers on every step and abort instead.
+TEST_F(SchedulerTest, ParkedWorkerAuditCatchesLoadWithoutConfigWrite) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the audit runs in builds without NDEBUG";
+#else
+  // The machine starts idle: the first slice parks every worker.
+  sim_.RunFor(Millis(2));
+  machine_.SetThreadLoad(0, &workload::ComputeBound(), 1.0);
+  EXPECT_DEATH(sim_.RunFor(Millis(2)), "loaded without a config write");
+#endif
 }
 
 TEST_F(SchedulerTest, UtilizationReflectsLoad) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -62,6 +64,49 @@ TEST(EventQueueTest, NextTimeSkipsCancelled) {
   q.Schedule(Millis(5), [] {});
   q.Cancel(early);
   EXPECT_EQ(q.NextTime(), Millis(5));
+}
+
+// Ids are dense and only grow; the pending bookkeeping is indexed by id.
+// Under churn (100 k events, every third cancelled, pops interleaved) the
+// live count and the next time must match a reference set exactly, and
+// cancelling a fired, cancelled or unknown id must change neither. Every
+// thousandth event is due only after all others, so it stays pending
+// while far more than the bookkeeping's window of newer ids is issued.
+TEST(EventQueueTest, CancelChurnKeepsSizeExact) {
+  EventQueue q;
+  std::set<std::pair<SimTime, EventId>> live;
+  std::vector<std::pair<SimTime, EventId>> scheduled;
+  int64_t fired = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    // Times out of id order, so the heap top is not the oldest id.
+    const SimTime t = i % 1000 == 0
+                          ? Seconds(10) + Micros(i)
+                          : Micros((i * 7919) % 10'007) + Millis(i / 64);
+    const EventId id = q.Schedule(t, [&fired] { ++fired; });
+    scheduled.emplace_back(t, id);
+    live.emplace(t, id);
+    if (i % 3 == 2) {
+      // Cancel an older event; it may have fired or been cancelled already.
+      const auto& victim = scheduled[static_cast<size_t>(i / 2)];
+      EXPECT_EQ(q.Cancel(victim.second), live.erase(victim) == 1);
+    }
+    if (i % 4 == 3) {
+      ASSERT_FALSE(live.empty());
+      EXPECT_EQ(q.PopAndRun(), live.begin()->first);
+      live.erase(live.begin());
+    }
+    ASSERT_EQ(q.size(), live.size());
+    ASSERT_EQ(q.NextTime(), live.empty() ? kSimTimeNever : live.begin()->first);
+  }
+  EXPECT_FALSE(q.Cancel(0));
+  EXPECT_FALSE(q.Cancel(scheduled.back().second + 1));
+  EXPECT_EQ(q.size(), live.size());
+  const int64_t fired_before_drain = fired;
+  while (!q.empty()) q.PopAndRun();
+  EXPECT_EQ(fired - fired_before_drain, static_cast<int64_t>(live.size()));
+  EXPECT_EQ(q.NextTime(), kSimTimeNever);
+  for (const auto& [t, id] : scheduled) EXPECT_FALSE(q.Cancel(id));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, EventsCanScheduleEvents) {
